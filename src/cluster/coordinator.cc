@@ -60,34 +60,12 @@ Status ClusterCoordinator::AddProximityGroup(core::ProximityGroup group) {
 
 Status ClusterCoordinator::AddPipeline(core::DeviceTypePipeline pipeline) {
   if (started_) return Status::Internal("cluster already started");
-  if (pipeline.virtualize_input.empty()) {
-    pipeline.virtualize_input = pipeline.device_type + "_input";
-  }
-  TypeRuntime type;
-  type.config = std::move(pipeline);
-  types_.push_back(std::move(type));
-  return Status::OK();
+  return tail_.AddPipeline(std::move(pipeline));
 }
 
 Status ClusterCoordinator::SetHealthPolicy(core::HealthPolicy policy) {
   if (started_) return Status::Internal("cluster already started");
-  policy_ = policy;
-  return Status::OK();
-}
-
-void ClusterCoordinator::SetVirtualize(std::unique_ptr<core::Stage> stage) {
-  virtualize_ = std::move(stage);
-}
-
-StatusOr<ClusterCoordinator::TypeRuntime*> ClusterCoordinator::FindType(
-    const std::string& device_type) {
-  for (TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      return &type;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
+  return tail_.SetHealthPolicy(policy);
 }
 
 uint32_t ClusterCoordinator::AssignSlot(const std::string& device_type,
@@ -109,16 +87,15 @@ WorkerSpawnSpec ClusterCoordinator::MakeSpawnSpec(uint32_t slot,
     }
   }
   std::vector<core::DeviceTypePipeline> pipelines;
-  for (const TypeRuntime& type : types_) {
+  for (size_t t = 0; t < tail_.num_types(); ++t) {
     const bool hosted = std::any_of(
         slot_groups.begin(), slot_groups.end(),
         [&](const core::ProximityGroup& g) {
-          return StrEqualsIgnoreCase(g.device_type, type.config.device_type);
+          return StrEqualsIgnoreCase(g.device_type,
+                                     tail_.pipeline(t).device_type);
         });
     if (!hosted) continue;
-    core::DeviceTypePipeline pipeline = type.config;
-    pipeline.arbitrate = nullptr;
-    pipelines.push_back(std::move(pipeline));
+    pipelines.push_back(tail_.GroupPipeline(t));
   }
 
   WorkerSpawnSpec spec;
@@ -133,7 +110,7 @@ WorkerSpawnSpec ClusterCoordinator::MakeSpawnSpec(uint32_t slot,
   spec.options.write_timeout = options_.write_timeout;
   spec.options.max_frame_bytes = options_.max_frame_bytes;
   spec.factory = [slot_groups = std::move(slot_groups),
-                  pipelines = std::move(pipelines), policy = policy_]()
+                  pipelines = std::move(pipelines), policy = tail_.policy()]()
       -> StatusOr<std::unique_ptr<core::StreamEngine>> {
     auto engine = std::make_unique<core::EspProcessor>();
     ESP_RETURN_IF_ERROR(engine->SetHealthPolicy(policy));
@@ -168,10 +145,9 @@ Status ClusterCoordinator::Start(WorkerSupervisor* supervisor) {
   }
 
   // The schema oracle: an arbitrate-stripped, never-fed local twin whose
-  // TypeOutputSchema IS the workers' per-group partial schema and whose
-  // TypeReadingSchema validates pushes before they cross the wire.
+  // TypeOutputSchema IS the workers' per-group partial schema.
   oracle_ = std::make_unique<core::EspProcessor>();
-  ESP_RETURN_IF_ERROR(oracle_->SetHealthPolicy(policy_));
+  ESP_RETURN_IF_ERROR(oracle_->SetHealthPolicy(tail_.policy()));
   for (const core::ProximityGroup& group : groups_) {
     ESP_RETURN_IF_ERROR(oracle_->AddProximityGroup(group));
     for (const std::string& receptor_id : group.receptor_ids) {
@@ -180,43 +156,31 @@ Status ClusterCoordinator::Start(WorkerSupervisor* supervisor) {
     group_slot_[Key(group.device_type, group.id)] =
         AssignSlot(group.device_type, group.id);
   }
-  for (TypeRuntime& type : types_) {
-    core::DeviceTypePipeline stripped = type.config;
-    stripped.arbitrate = nullptr;
-    ESP_RETURN_IF_ERROR(oracle_->AddPipeline(std::move(stripped)));
+  group_order_.assign(tail_.num_types(), {});
+  for (size_t t = 0; t < tail_.num_types(); ++t) {
+    ESP_RETURN_IF_ERROR(oracle_->AddPipeline(tail_.GroupPipeline(t)));
     for (const core::ProximityGroup& group : groups_) {
-      if (StrEqualsIgnoreCase(group.device_type, type.config.device_type)) {
-        type.group_order.push_back(group.id);
+      if (StrEqualsIgnoreCase(group.device_type,
+                              tail_.pipeline(t).device_type)) {
+        group_order_[t].push_back(group.id);
       }
     }
-    if (type.group_order.empty()) {
+    if (group_order_[t].empty()) {
       return Status::InvalidArgument("no proximity groups for device type '" +
-                                     type.config.device_type + "'");
+                                     tail_.pipeline(t).device_type + "'");
     }
   }
   ESP_RETURN_IF_ERROR(oracle_->Start());
 
-  // Wrapper Arbitrate / Virtualize, bound exactly as the sharded engine
-  // binds its own copies (bitwise-identical central stages).
-  cql::SchemaCatalog virtualize_inputs;
-  for (TypeRuntime& type : types_) {
-    ESP_ASSIGN_OR_RETURN(type.group_output_schema,
-                         oracle_->TypeOutputSchema(type.config.device_type));
-    SchemaRef type_out = type.group_output_schema;
-    if (type.config.arbitrate != nullptr) {
-      ESP_ASSIGN_OR_RETURN(type.arbitrate, type.config.arbitrate());
-      cql::SchemaCatalog catalog;
-      catalog.AddStream(core::StageInputName(core::StageKind::kArbitrate),
-                        type.group_output_schema);
-      ESP_RETURN_IF_ERROR(type.arbitrate->Bind(catalog));
-      type_out = type.arbitrate->output_schema();
-    }
-    type.output_schema = type_out;
-    virtualize_inputs.AddStream(type.config.virtualize_input, type_out);
+  // The central tail, bound over the workers' per-group output schema.
+  std::vector<SchemaRef> group_outputs;
+  for (size_t t = 0; t < tail_.num_types(); ++t) {
+    ESP_ASSIGN_OR_RETURN(
+        SchemaRef group_output,
+        oracle_->TypeOutputSchema(tail_.pipeline(t).device_type));
+    group_outputs.push_back(std::move(group_output));
   }
-  if (virtualize_ != nullptr) {
-    ESP_RETURN_IF_ERROR(virtualize_->Bind(virtualize_inputs));
-  }
+  ESP_RETURN_IF_ERROR(tail_.Start(group_outputs));
 
   links_.resize(options_.num_workers);
   for (uint32_t slot = 0; slot < options_.num_workers; ++slot) {
@@ -312,32 +276,16 @@ Status ClusterCoordinator::Failover(WorkerLink& link) {
 
 Status ClusterCoordinator::Push(const std::string& device_type, Tuple raw) {
   if (!started_) return Status::Internal("cluster not started");
-  ESP_ASSIGN_OR_RETURN(TypeRuntime * type, FindType(device_type));
-  ESP_ASSIGN_OR_RETURN(
-      const SchemaRef schema,
-      oracle_->TypeReadingSchema(type->config.device_type));
-  if (raw.schema() == nullptr || !raw.schema()->Equals(*schema)) {
-    return Status::InvalidArgument("reading schema does not match pipeline '" +
-                                   type->config.device_type + "'");
-  }
-  ESP_ASSIGN_OR_RETURN(const stream::Value receptor,
-                       raw.Get(type->config.receptor_id_column));
-  if (receptor.type() != stream::DataType::kString) {
-    return Status::TypeError("receptor id column '" +
-                             type->config.receptor_id_column +
-                             "' must be a string");
-  }
-  const auto group_it = receptor_group_.find(
-      Key(type->config.device_type, receptor.string_value()));
+  ESP_ASSIGN_OR_RETURN(const core::EngineTail::Reading reading,
+                       tail_.ValidateReading(device_type, raw));
+  const std::string& canonical = tail_.pipeline(reading.type).device_type;
+  const std::string& receptor = reading.receptor.string_value();
+  const auto group_it = receptor_group_.find(Key(canonical, receptor));
   if (group_it == receptor_group_.end()) {
-    return Status::NotFound("receptor '" + receptor.string_value() +
-                            "' is not in any proximity group of type '" +
-                            type->config.device_type + "'");
+    return core::EngineTail::UnknownReceptor(receptor, device_type);
   }
-  const uint32_t slot =
-      group_slot_.at(Key(type->config.device_type, group_it->second));
-  links_[slot].pending.push_back(
-      PendingReading{type->config.device_type, std::move(raw)});
+  const uint32_t slot = group_slot_.at(Key(canonical, group_it->second));
+  links_[slot].pending.push_back(PendingReading{canonical, std::move(raw)});
   ++stats_.readings_routed;
   return Status::OK();
 }
@@ -546,28 +494,6 @@ Status ClusterCoordinator::AwaitResult(WorkerLink& link, Timestamp now) {
   }
 }
 
-StatusOr<Relation> ClusterCoordinator::RunStageGuarded(
-    core::Stage* stage, const std::string& input_name, Relation input,
-    Timestamp now) {
-  auto run = [&]() -> StatusOr<Relation> {
-    for (const Tuple& tuple : input.tuples()) {
-      ESP_RETURN_IF_ERROR(stage->Push(input_name, tuple));
-    }
-    return stage->Evaluate(now);
-  };
-  StatusOr<Relation> out = run();
-  if (out.ok()) return out;
-  if (policy_.stage_error_policy == core::StageErrorPolicy::kFailFast) {
-    return out.status();
-  }
-  ++stats_.stage_errors;
-  if (input.schema() != nullptr && stage->output_schema() != nullptr &&
-      input.schema()->Equals(*stage->output_schema())) {
-    return input;
-  }
-  return Relation(stage->output_schema());
-}
-
 StatusOr<TickResult> ClusterCoordinator::Tick(Timestamp now) {
   if (!started_) return Status::Internal("cluster not started");
   if (has_ticked_ && now <= last_tick_) {
@@ -586,8 +512,8 @@ StatusOr<TickResult> ClusterCoordinator::Tick(Timestamp now) {
     ESP_RETURN_IF_ERROR(AwaitResult(link, now));
   }
 
-  TickResult result;
-  for (TypeRuntime& type : types_) {
+  core::MergedGroups groups(tail_.num_types());
+  for (size_t t = 0; t < tail_.num_types(); ++t) {
     // Gather this type's partials across slots (slot order), then replay
     // them in global group-registration order — the monolith's Union
     // order. Groups the static config does not know (a worker's lazily
@@ -596,74 +522,30 @@ StatusOr<TickResult> ClusterCoordinator::Tick(Timestamp now) {
     for (WorkerLink& link : links_) {
       for (net::WirePartial& partial : *link.result) {
         if (StrEqualsIgnoreCase(partial.device_type,
-                                type.config.device_type)) {
+                                tail_.pipeline(t).device_type)) {
           gathered.push_back(&partial);
         }
       }
     }
-    Relation merged(type.group_output_schema);
     std::vector<bool> used(gathered.size(), false);
-    const auto append = [&merged](net::WirePartial* partial) {
-      auto& tuples = partial->relation.mutable_tuples();
-      merged.mutable_tuples().insert(merged.mutable_tuples().end(),
-                                     std::make_move_iterator(tuples.begin()),
-                                     std::make_move_iterator(tuples.end()));
-    };
-    for (const std::string& group_id : type.group_order) {
+    for (const std::string& group_id : group_order_[t]) {
       for (size_t i = 0; i < gathered.size(); ++i) {
         if (!used[i] &&
             StrEqualsIgnoreCase(gathered[i]->group_id, group_id)) {
           used[i] = true;
-          append(gathered[i]);
+          groups[t].push_back(std::move(gathered[i]->relation));
           break;
         }
       }
     }
     for (size_t i = 0; i < gathered.size(); ++i) {
-      if (!used[i]) append(gathered[i]);
-    }
-
-    Relation type_out;
-    if (type.arbitrate != nullptr) {
-      ESP_ASSIGN_OR_RETURN(
-          type_out,
-          RunStageGuarded(type.arbitrate.get(),
-                          core::StageInputName(core::StageKind::kArbitrate),
-                          std::move(merged), now));
-    } else {
-      type_out = std::move(merged);
-    }
-
-    if (virtualize_ != nullptr) {
-      for (const Tuple& tuple : type_out.tuples()) {
-        const Status pushed =
-            virtualize_->Push(type.config.virtualize_input, tuple);
-        if (!pushed.ok()) {
-          if (policy_.stage_error_policy ==
-              core::StageErrorPolicy::kFailFast) {
-            return pushed;
-          }
-          ++stats_.stage_errors;
-          break;
-        }
-      }
-    }
-    result.per_type.emplace_back(type.config.device_type,
-                                 std::move(type_out));
-  }
-
-  if (virtualize_ != nullptr) {
-    StatusOr<Relation> out = virtualize_->Evaluate(now);
-    if (out.ok()) {
-      result.virtualized = std::move(out).value();
-    } else if (policy_.stage_error_policy ==
-               core::StageErrorPolicy::kFailFast) {
-      return out.status();
-    } else {
-      ++stats_.stage_errors;
-      result.virtualized = Relation(virtualize_->output_schema());
+      if (!used[i]) groups[t].push_back(std::move(gathered[i]->relation));
     }
   }
+  TickResult result;
+  const Status ran = tail_.Run(std::move(groups), now, result);
+  stats_.stage_errors = tail_.total_stage_errors();
+  ESP_RETURN_IF_ERROR(ran);
 
   last_tick_ = now;
   has_ticked_ = true;

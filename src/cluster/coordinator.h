@@ -93,7 +93,10 @@ struct ClusterStats {
 /// discarded (fenced).
 ///
 /// Configuration mirrors EspProcessor: AddProximityGroup / AddPipeline /
-/// SetHealthPolicy / SetVirtualize, then Start(supervisor). Per tick: Push
+/// SetHealthPolicy / SetVirtualize, then Start(supervisor). Pipelines,
+/// policy and readings are checked by the same EngineTail front door as
+/// the in-process engines, and the reassembled partials run through the
+/// same tail. Per tick: Push
 /// readings, then Tick(now) — tick times must be STRICTLY increasing (the
 /// tick time doubles as the cluster-wide result key). Single-threaded; one
 /// owner drives it.
@@ -107,7 +110,9 @@ class ClusterCoordinator {
   Status AddProximityGroup(core::ProximityGroup group);
   Status AddPipeline(core::DeviceTypePipeline pipeline);
   Status SetHealthPolicy(core::HealthPolicy policy);
-  void SetVirtualize(std::unique_ptr<core::Stage> stage);
+  void SetVirtualize(std::unique_ptr<core::Stage> stage) {
+    tail_.SetVirtualize(std::move(stage));
+  }
 
   /// Spawns and connects every worker (fresh storage, epoch 1). The
   /// supervisor must outlive the coordinator.
@@ -115,13 +120,13 @@ class ClusterCoordinator {
 
   /// Routes one reading to its proximity group's worker (buffered; flushed
   /// as atomic batches at the next Tick). Validates type, schema, and
-  /// receptor membership up front.
+  /// receptor membership up front, with EspProcessor::Push's verdicts.
   Status Push(const std::string& device_type, stream::Tuple raw);
 
   /// Flushes routed readings, ticks every worker, awaits and reassembles
-  /// their partials in global group-registration order, then runs
-  /// Arbitrate/Virtualize — returning exactly what a single EspProcessor
-  /// over the same inputs would. Fails over dead workers as needed.
+  /// their partials in global group-registration order, then runs the
+  /// EngineTail — returning exactly what a single EspProcessor over the
+  /// same inputs would. Fails over dead workers as needed.
   StatusOr<core::TickResult> Tick(Timestamp now);
 
   /// Broadcasts an (unsequenced, idempotent) checkpoint request.
@@ -175,18 +180,6 @@ class ClusterCoordinator {
     WorkerLink() : decoder(net::kDefaultMaxFrameBytes) {}
   };
 
-  /// Per-type wrapper state, mirroring ShardedEspProcessor::TypeRuntime.
-  struct TypeRuntime {
-    core::DeviceTypePipeline config;
-    /// Global registration order of this type's groups — the reassembly
-    /// order that reproduces the monolith's group-ordered Union.
-    std::vector<std::string> group_order;
-    std::unique_ptr<core::Stage> arbitrate;  // May be null.
-    stream::SchemaRef group_output_schema;
-    stream::SchemaRef output_schema;
-  };
-
-  StatusOr<TypeRuntime*> FindType(const std::string& device_type);
   uint32_t AssignSlot(const std::string& device_type,
                       const std::string& group_id) const;
   WorkerSpawnSpec MakeSpawnSpec(uint32_t slot, uint64_t epoch,
@@ -222,11 +215,6 @@ class ClusterCoordinator {
   Status DrainLink(WorkerLink& link,
                    const std::optional<Timestamp>& awaiting);
 
-  StatusOr<stream::Relation> RunStageGuarded(core::Stage* stage,
-                                             const std::string& input_name,
-                                             stream::Relation input,
-                                             Timestamp now);
-
   ClusterOptions options_;
   WorkerSupervisor* supervisor_ = nullptr;
   MembershipTable membership_;
@@ -234,13 +222,16 @@ class ClusterCoordinator {
 
   // Deployment configuration (pre-Start).
   std::vector<core::ProximityGroup> groups_;
-  core::HealthPolicy policy_;
-  std::unique_ptr<core::Stage> virtualize_;
-  std::vector<TypeRuntime> types_;
+  /// Pipelines, health policy, Arbitrate / Virtualize, and their
+  /// stage-error tallies.
+  core::EngineTail tail_;
+  /// Per type (tail order): its groups' ids in global registration order —
+  /// the reassembly order that reproduces the monolith's Union.
+  std::vector<std::vector<std::string>> group_order_;
 
   /// Arbitrate-stripped, never-ticked local twin of the deployment: the
-  /// schema oracle for reading schemas (Push validation) and group output
-  /// schemas (partial decoding), never fed any data.
+  /// schema oracle for group output schemas (partial decoding and the
+  /// tail's binding), never fed any data.
   std::unique_ptr<core::EspProcessor> oracle_;
 
   /// receptor -> group id, per device type (keys are "type\0receptor").

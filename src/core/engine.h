@@ -47,8 +47,12 @@ struct TickResult {
 /// Two implementations exist: the single-threaded EspProcessor and the
 /// ShardedEspProcessor, which partitions proximity groups across internal
 /// shards and runs them in parallel while producing bitwise-identical
-/// output. Everything written against this interface (notably
-/// RecoveryCoordinator's journal-before-apply protocol) works with either.
+/// output. (The forked-worker cluster::ClusterCoordinator is a third
+/// engine with its own driving surface.) All three run everything after
+/// Merge through one EngineTail (core/engine_tail.h), so they differ only
+/// in where per-group work runs. Everything written against this interface
+/// (notably RecoveryCoordinator's journal-before-apply protocol) works with
+/// either implementation.
 class StreamEngine {
  public:
   virtual ~StreamEngine() = default;

@@ -5,7 +5,6 @@
 #include "common/string_util.h"
 #include "stream/arena.h"
 #include "stream/column.h"
-#include "stream/ops.h"
 #include "stream/serialize.h"
 #include "stream/simd_kernels.h"
 
@@ -27,44 +26,12 @@ Status EspProcessor::AddProximityGroup(ProximityGroup group) {
 
 Status EspProcessor::SetHealthPolicy(HealthPolicy policy) {
   if (started_) return Status::Internal("processor already started");
-  if (policy.liveness_enabled() &&
-      policy.staleness_threshold <= policy.lateness_horizon) {
-    return Status::InvalidArgument(
-        "staleness threshold must exceed the lateness horizon (admitted-late "
-        "readings make live receptors look up to one horizon stale)");
-  }
-  policy_ = policy;
-  return Status::OK();
+  return tail_.SetHealthPolicy(policy);
 }
 
 Status EspProcessor::AddPipeline(DeviceTypePipeline pipeline) {
   if (started_) return Status::Internal("processor already started");
-  if (pipeline.reading_schema == nullptr) {
-    return Status::InvalidArgument("pipeline for '" + pipeline.device_type +
-                                   "' has no reading schema");
-  }
-  if (!pipeline.reading_schema->Contains(pipeline.receptor_id_column)) {
-    return Status::InvalidArgument(
-        "receptor id column '" + pipeline.receptor_id_column +
-        "' not in reading schema for '" + pipeline.device_type + "'");
-  }
-  for (const TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, pipeline.device_type)) {
-      return Status::AlreadyExists("pipeline for '" + pipeline.device_type +
-                                   "' already registered");
-    }
-  }
-  if (pipeline.virtualize_input.empty()) {
-    pipeline.virtualize_input = pipeline.device_type + "_input";
-  }
-  TypeRuntime runtime;
-  runtime.config = std::move(pipeline);
-  types_.push_back(std::move(runtime));
-  return Status::OK();
-}
-
-void EspProcessor::SetVirtualize(std::unique_ptr<Stage> stage) {
-  virtualize_ = std::move(stage);
+  return tail_.AddPipeline(std::move(pipeline));
 }
 
 StatusOr<SchemaRef> EspProcessor::AugmentSchema(const SchemaRef& schema) {
@@ -77,9 +44,12 @@ StatusOr<SchemaRef> EspProcessor::AugmentSchema(const SchemaRef& schema) {
 Status EspProcessor::Start() {
   if (started_) return Status::Internal("processor already started");
 
-  cql::SchemaCatalog virtualize_inputs;
-  for (TypeRuntime& type : types_) {
-    const DeviceTypePipeline& config = type.config;
+  types_.resize(tail_.num_types());
+  std::vector<SchemaRef> group_outputs;
+  for (size_t t = 0; t < types_.size(); ++t) {
+    TypeRuntime& type = types_[t];
+    type.config = &tail_.pipeline(t);
+    const DeviceTypePipeline& config = *type.config;
     const auto groups = granules_.GroupsOfType(config.device_type);
     if (groups.empty()) {
       return Status::InvalidArgument("no proximity groups for device type '" +
@@ -95,7 +65,7 @@ Status EspProcessor::Start() {
         chain.granule_id = group->granule.id;
         chain.home_group_id = group->id;
         chain.health = std::make_unique<ReceptorHealthTracker>(
-            receptor_id, config.device_type, &policy_);
+            receptor_id, config.device_type, &tail_.policy());
         SchemaRef current = config.reading_schema;
         for (const StageFactory& factory : config.point) {
           ESP_ASSIGN_OR_RETURN(std::unique_ptr<Stage> stage, factory());
@@ -140,56 +110,22 @@ Status EspProcessor::Start() {
       }
       type.groups.push_back(std::move(chain));
     }
-
-    // Arbitrate across groups.
-    SchemaRef type_out = group_out;
-    if (config.arbitrate != nullptr) {
-      ESP_ASSIGN_OR_RETURN(type.arbitrate, config.arbitrate());
-      cql::SchemaCatalog catalog;
-      catalog.AddStream(StageInputName(StageKind::kArbitrate), group_out);
-      ESP_RETURN_IF_ERROR(type.arbitrate->Bind(catalog));
-      type_out = type.arbitrate->output_schema();
-    }
-    type.output_schema = type_out;
-    virtualize_inputs.AddStream(config.virtualize_input, type_out);
+    group_outputs.push_back(group_out);
   }
 
-  if (virtualize_ != nullptr) {
-    ESP_RETURN_IF_ERROR(virtualize_->Bind(virtualize_inputs));
-  }
+  ESP_RETURN_IF_ERROR(tail_.Start(group_outputs));
   started_ = true;
   return Status::OK();
 }
 
-StatusOr<EspProcessor::TypeRuntime*> EspProcessor::FindType(
-    const std::string& device_type) {
-  for (TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      return &type;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
-}
-
 Status EspProcessor::Push(const std::string& device_type, Tuple raw) {
   if (!started_) return Status::Internal("processor not started");
-  ESP_ASSIGN_OR_RETURN(TypeRuntime * type, FindType(device_type));
-  // Pointer identity short-circuits the field-by-field comparison on the
-  // common path where the pusher holds the pipeline's own SchemaRef.
-  if (raw.schema() == nullptr ||
-      (raw.schema().get() != type->config.reading_schema.get() &&
-       !raw.schema()->Equals(*type->config.reading_schema))) {
-    return Status::TypeError("raw reading schema mismatch for type '" +
-                             device_type + "'");
-  }
-  ESP_ASSIGN_OR_RETURN(const Value receptor,
-                       raw.Get(type->config.receptor_id_column));
-  if (receptor.type() != stream::DataType::kString) {
-    return Status::TypeError("receptor id column must be a string");
-  }
-  for (ReceptorChain& chain : type->receptors) {
-    if (!StrEqualsIgnoreCase(chain.receptor_id, receptor.string_value())) {
+  ESP_ASSIGN_OR_RETURN(const EngineTail::Reading reading,
+                       tail_.ValidateReading(device_type, raw));
+  const std::string& receptor = reading.receptor.string_value();
+  const HealthPolicy& policy = tail_.policy();
+  for (ReceptorChain& chain : types_[reading.type].receptors) {
+    if (!StrEqualsIgnoreCase(chain.receptor_id, receptor)) {
       continue;
     }
     // Validate the (previous tick, now] contract instead of trusting it:
@@ -197,75 +133,21 @@ Status EspProcessor::Push(const std::string& device_type, Tuple raw) {
     // be delivered in order again and is dropped loudly; later-but-within-
     // horizon readings go to the reorder buffer.
     if (has_ticked_) {
-      const Timestamp watermark = last_tick_ - policy_.lateness_horizon;
+      const Timestamp watermark = last_tick_ - policy.lateness_horizon;
       if (raw.timestamp() <= watermark) {
         chain.health->RecordDroppedLate(1);
         return Status::OutOfRange(
             "reading for receptor '" + chain.receptor_id + "' at " +
             raw.timestamp().ToString() + " is behind the release watermark " +
             watermark.ToString() + " (lateness horizon " +
-            policy_.lateness_horizon.ToString() + ")");
+            policy.lateness_horizon.ToString() + ")");
       }
       if (raw.timestamp() <= last_tick_) chain.health->RecordLateAdmitted(1);
     }
     chain.pending.push_back(std::move(raw));
     return Status::OK();
   }
-  return Status::NotFound("receptor '" + receptor.string_value() +
-                          "' of type '" + device_type +
-                          "' is in no proximity group");
-}
-
-void EspProcessor::RecordStageError(Stage* stage,
-                                    const std::string& device_type,
-                                    const std::string& owner_id,
-                                    const Status& status) {
-  const std::string label = device_type + "/" +
-                            StageKindToString(stage->kind()) + "[" + owner_id +
-                            "]";
-  StageErrorStat& stat = stage_errors_[label];
-  stat.stage = label;
-  ++stat.errors;
-  stat.last_message = status.ToString();
-}
-
-StatusOr<Relation> EspProcessor::RunStageGuarded(
-    Stage* stage, const std::string& input_name, Relation input, Timestamp now,
-    const std::string& device_type, const std::string& owner_id,
-    ReceptorChain* chain) {
-  stream::TupleArena& arena = stream::TupleArena::Local();
-  auto run = [&]() -> StatusOr<Relation> {
-    for (const Tuple& tuple : input.tuples()) {
-      // Hand the stage an arena-backed copy: stage buffers (query histories,
-      // windowed buffers) release evicted rows back to the arena, closing
-      // the per-tick allocation loop. `input` stays intact for the degraded
-      // pass-through below.
-      std::vector<Value> values = arena.Acquire(tuple.num_fields());
-      values.insert(values.end(), tuple.values().begin(),
-                    tuple.values().end());
-      ESP_RETURN_IF_ERROR(stage->Push(
-          input_name,
-          Tuple(tuple.schema(), std::move(values), tuple.timestamp())));
-    }
-    return stage->Evaluate(now);
-  };
-  StatusOr<Relation> out = run();
-  if (out.ok()) {
-    arena.Recycle(std::move(input));
-    return out;
-  }
-  if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-    return out.status();
-  }
-  RecordStageError(stage, device_type, owner_id, out.status());
-  if (chain != nullptr) chain->health->RecordError(out.status());
-  // Degrade: pass the input through when it already has the stage's output
-  // shape; otherwise the stage contributes nothing this tick.
-  if (input.schema() != nullptr && stage->output_schema() != nullptr &&
-      input.schema()->Equals(*stage->output_schema())) {
-    return input;
-  }
-  return Relation(stage->output_schema());
+  return EngineTail::UnknownReceptor(receptor, device_type);
 }
 
 Status EspProcessor::EnsureQuarantineGroup(const std::string& device_type) {
@@ -279,7 +161,16 @@ Status EspProcessor::EnsureQuarantineGroup(const std::string& device_type) {
   return Status::OK();
 }
 
-StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
+StatusOr<TickResult> EspProcessor::Tick(Timestamp now) {
+  TickResult result;
+  ESP_ASSIGN_OR_RETURN(MergedGroups groups,
+                       TickGroups(now, result.group_partials));
+  ESP_RETURN_IF_ERROR(tail_.Run(std::move(groups), now, result));
+  return result;
+}
+
+StatusOr<MergedGroups> EspProcessor::TickGroups(
+    Timestamp now, std::vector<GroupPartial>& partials) {
   if (!started_) return Status::Internal("processor not started");
   if (has_ticked_ && now < last_tick_) {
     return Status::InvalidArgument("tick times must be non-decreasing");
@@ -288,12 +179,14 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
   // this tick; later readings stay in the reorder buffers so late arrivals
   // within the horizon can still be slotted in ahead of them. With the
   // default zero horizon the watermark is `now` and nothing is delayed.
-  const Timestamp watermark = now - policy_.lateness_horizon;
+  const Timestamp watermark = now - tail_.policy().lateness_horizon;
   last_tick_ = now;
   has_ticked_ = true;
 
-  TickResult result;
+  MergedGroups merged_groups;
+  merged_groups.reserve(types_.size());
   for (TypeRuntime& type : types_) {
+    const std::string& device_type = type.config->device_type;
     // --- Per-receptor: Point chain, then Smooth. ---
     // Collected per group id for the Merge step.
     std::vector<Relation> group_streams(type.groups.size(),
@@ -321,13 +214,13 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
       using Transition = ReceptorHealthTracker::Transition;
       const Transition transition = chain.health->Observe(now, data_time);
       if (transition == Transition::kQuarantine) {
-        ESP_RETURN_IF_ERROR(EnsureQuarantineGroup(type.config.device_type));
+        ESP_RETURN_IF_ERROR(EnsureQuarantineGroup(device_type));
         ESP_RETURN_IF_ERROR(granules_.MoveReceptor(
-            type.config.device_type, chain.receptor_id,
-            QuarantineGroupId(type.config.device_type)));
+            device_type, chain.receptor_id,
+            QuarantineGroupId(device_type)));
       } else if (transition == Transition::kRevive) {
         ESP_RETURN_IF_ERROR(granules_.MoveReceptor(
-            type.config.device_type, chain.receptor_id, chain.home_group_id));
+            device_type, chain.receptor_id, chain.home_group_id));
       }
       if (chain.health->state() == ReceptorState::kQuarantined) {
         // Degraded mode: the receptor is out of its proximity group; its
@@ -339,23 +232,23 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
       }
       chain.health->RecordDelivered(static_cast<int64_t>(released.size()));
 
-      Relation current(type.config.reading_schema);
+      Relation current(type.config->reading_schema);
       for (Tuple& tuple : released) current.Add(std::move(tuple));
 
       for (std::unique_ptr<Stage>& stage : chain.point) {
         ESP_ASSIGN_OR_RETURN(
             current,
-            RunStageGuarded(stage.get(), StageInputName(StageKind::kPoint),
-                            std::move(current), now, type.config.device_type,
-                            chain.receptor_id, &chain));
+            tail_.RunStageGuarded(
+                stage.get(), StageInputName(StageKind::kPoint),
+                std::move(current), now, device_type, chain.receptor_id,
+                chain.health.get()));
       }
       if (chain.smooth != nullptr) {
         ESP_ASSIGN_OR_RETURN(
-            current, RunStageGuarded(chain.smooth.get(),
-                                     StageInputName(StageKind::kSmooth),
-                                     std::move(current), now,
-                                     type.config.device_type,
-                                     chain.receptor_id, &chain));
+            current, tail_.RunStageGuarded(
+                         chain.smooth.get(), StageInputName(StageKind::kSmooth),
+                         std::move(current), now, device_type,
+                         chain.receptor_id, chain.health.get()));
       }
 
       // Stamp the spatial granule (footnote 2) and route to the receptor's
@@ -363,7 +256,7 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
       // MoveReceptor() remappings take effect between ticks.
       ESP_ASSIGN_OR_RETURN(
           const ProximityGroup* group_of,
-          granules_.GroupOf(type.config.device_type, chain.receptor_id));
+          granules_.GroupOf(device_type, chain.receptor_id));
       size_t group_index = type.groups.size();
       for (size_t g = 0; g < type.groups.size(); ++g) {
         if (StrEqualsIgnoreCase(type.groups[g].group_id, group_of->id)) {
@@ -411,87 +304,32 @@ StatusOr<EspProcessor::TickResult> EspProcessor::Tick(Timestamp now) {
       }
       ESP_ASSIGN_OR_RETURN(
           Relation out,
-          RunStageGuarded(type.groups[g].merge.get(),
-                          StageInputName(StageKind::kMerge), std::move(input),
-                          now, type.config.device_type, type.groups[g].group_id,
-                          nullptr));
+          tail_.RunStageGuarded(type.groups[g].merge.get(),
+                                StageInputName(StageKind::kMerge),
+                                std::move(input), now, device_type,
+                                type.groups[g].group_id));
       merged.push_back(std::move(out));
     }
 
     // --- Partial-aggregate export (cluster workers). The copies are taken
-    // here — after Merge, before Union/Arbitrate — because this is the
-    // exact hand-off point where a coordinator stitches workers' groups
-    // back into the global registration order. ---
+    // here — after Merge, before the tail — because this is the exact
+    // hand-off point where a coordinator stitches workers' groups back
+    // into the global registration order. ---
     if (export_group_partials_) {
       for (size_t g = 0; g < type.groups.size(); ++g) {
-        result.group_partials.push_back(GroupPartial{
-            type.config.device_type, type.groups[g].group_id, merged[g]});
+        partials.push_back(
+            GroupPartial{device_type, type.groups[g].group_id, merged[g]});
       }
     }
-
-    // --- Arbitrate across groups. ---
-    Relation type_out;
-    if (type.arbitrate != nullptr) {
-      ESP_ASSIGN_OR_RETURN(Relation united, stream::Union(std::move(merged)));
-      ESP_ASSIGN_OR_RETURN(
-          type_out, RunStageGuarded(type.arbitrate.get(),
-                                    StageInputName(StageKind::kArbitrate),
-                                    std::move(united), now,
-                                    type.config.device_type,
-                                    type.config.device_type, nullptr));
-    } else {
-      ESP_ASSIGN_OR_RETURN(type_out, stream::Union(std::move(merged)));
-    }
-
-    // --- Feed Virtualize. ---
-    if (virtualize_ != nullptr) {
-      for (const Tuple& tuple : type_out.tuples()) {
-        const Status pushed =
-            virtualize_->Push(type.config.virtualize_input, tuple);
-        if (!pushed.ok()) {
-          if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-            return pushed;
-          }
-          RecordStageError(virtualize_.get(), type.config.device_type,
-                           type.config.virtualize_input, pushed);
-          break;  // Skip the rest of this type's feed this tick.
-        }
-      }
-    }
-    result.per_type.emplace_back(type.config.device_type,
-                                 std::move(type_out));
+    merged_groups.push_back(std::move(merged));
   }
-
-  if (queries_.active()) {
-    std::vector<std::pair<std::string, const Relation*>> inputs;
-    inputs.reserve(types_.size());
-    for (size_t i = 0; i < types_.size(); ++i) {
-      inputs.emplace_back(types_[i].config.virtualize_input,
-                          &result.per_type[i].second);
-    }
-    ESP_ASSIGN_OR_RETURN(result.query_results,
-                         queries_.FeedAndTick(inputs, now));
-  }
-
-  if (virtualize_ != nullptr) {
-    StatusOr<Relation> out = virtualize_->Evaluate(now);
-    if (out.ok()) {
-      result.virtualized = std::move(out).value();
-    } else if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-      return out.status();
-    } else {
-      RecordStageError(virtualize_.get(), "virtualize", "virtualize",
-                       out.status());
-      result.virtualized = Relation(virtualize_->output_schema());
-    }
-  }
-  return result;
+  return merged_groups;
 }
 
 PipelineHealth EspProcessor::Health() const {
   PipelineHealth health;
   health.recovery = recovery_stats_;
-  health.queries = queries_.Stats();
+  health.queries = tail_.queries().Stats();
   health.columnar.enabled = stream::ColumnarEnabled();
   health.columnar.avx2 = stream::simd::Avx2Available();
   {
@@ -516,7 +354,7 @@ PipelineHealth EspProcessor::Health() const {
       if (r.state == ReceptorState::kSuspect) ++health.suspect_now;
     }
   }
-  for (const auto& [label, stat] : stage_errors_) {
+  for (const auto& [label, stat] : tail_.stage_errors()) {
     health.stage_errors.push_back(stat);
     health.total_stage_errors += stat.errors;
   }
@@ -525,13 +363,7 @@ PipelineHealth EspProcessor::Health() const {
 
 StatusOr<SchemaRef> EspProcessor::TypeReadingSchema(
     const std::string& device_type) const {
-  for (const TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      return type.config.reading_schema;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
+  return tail_.ReadingSchema(device_type);
 }
 
 size_t EspProcessor::BufferedTuples() const {
@@ -547,11 +379,8 @@ size_t EspProcessor::BufferedTuples() const {
     for (const GroupChain& group : type.groups) {
       if (group.merge != nullptr) total += group.merge->buffered();
     }
-    if (type.arbitrate != nullptr) total += type.arbitrate->buffered();
   }
-  if (virtualize_ != nullptr) total += virtualize_->buffered();
-  total += queries_.BufferedTuples();
-  return total;
+  return total + tail_.BufferedTuples();
 }
 
 Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
@@ -563,8 +392,8 @@ Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
   ByteWriter config;
   config.WriteU32(static_cast<uint32_t>(types_.size()));
   for (const TypeRuntime& type : types_) {
-    config.WriteString(type.config.device_type);
-    stream::WriteSchema(config, *type.config.reading_schema);
+    config.WriteString(type.config->device_type);
+    stream::WriteSchema(config, *type.config->reading_schema);
     config.WriteU32(static_cast<uint32_t>(type.receptors.size()));
     for (const ReceptorChain& chain : type.receptors) {
       config.WriteString(chain.receptor_id);
@@ -576,16 +405,10 @@ Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
       config.WriteString(group.group_id);
       config.WriteBool(group.merge != nullptr);
     }
-    config.WriteBool(type.arbitrate != nullptr);
-    config.WriteString(type.config.virtualize_input);
+    config.WriteBool(type.config->arbitrate != nullptr);
+    config.WriteString(type.config->virtualize_input);
   }
-  config.WriteBool(virtualize_ != nullptr);
-  config.WriteI64(policy_.staleness_threshold.micros());
-  config.WriteI64(policy_.quarantine_timeout.micros());
-  config.WriteI64(policy_.revival_backoff.micros());
-  config.WriteI64(policy_.max_revival_backoff.micros());
-  config.WriteI64(policy_.lateness_horizon.micros());
-  config.WriteU8(static_cast<uint8_t>(policy_.stage_error_policy));
+  tail_.WriteConfig(config);
   out.AddSection("config", std::move(config));
 
   // --- clock.
@@ -599,7 +422,7 @@ Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
   ByteWriter receptors;
   for (const TypeRuntime& type : types_) {
     for (const ReceptorChain& chain : type.receptors) {
-      const auto group = granules_.GroupOf(type.config.device_type,
+      const auto group = granules_.GroupOf(type.config->device_type,
                                            chain.receptor_id);
       ESP_RETURN_IF_ERROR(group.status());
       receptors.WriteString((*group)->id);
@@ -614,10 +437,11 @@ Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
   }
   out.AddSection("receptors", std::move(receptors));
 
-  // --- stages: every stage's window/model state, in topology order.
-  ByteWriter stages;
-  for (const TypeRuntime& type : types_) {
-    for (const ReceptorChain& chain : type.receptors) {
+  // --- stages (every stage's window/model state, in topology order),
+  // errors (the per-stage isolation tallies), and queries (the serving
+  // layer, absent while inactive).
+  return tail_.Save(out, [this](size_t t, ByteWriter& stages) -> Status {
+    for (const ReceptorChain& chain : types_[t].receptors) {
       for (const std::unique_ptr<Stage>& stage : chain.point) {
         ESP_RETURN_IF_ERROR(SaveStageBlob(stage.get(), stages));
       }
@@ -625,35 +449,13 @@ Status EspProcessor::Checkpoint(CheckpointWriter& out) const {
         ESP_RETURN_IF_ERROR(SaveStageBlob(chain.smooth.get(), stages));
       }
     }
-    for (const GroupChain& group : type.groups) {
+    for (const GroupChain& group : types_[t].groups) {
       if (group.merge != nullptr) {
         ESP_RETURN_IF_ERROR(SaveStageBlob(group.merge.get(), stages));
       }
     }
-    if (type.arbitrate != nullptr) {
-      ESP_RETURN_IF_ERROR(SaveStageBlob(type.arbitrate.get(), stages));
-    }
-  }
-  if (virtualize_ != nullptr) {
-    ESP_RETURN_IF_ERROR(SaveStageBlob(virtualize_.get(), stages));
-  }
-  out.AddSection("stages", std::move(stages));
-
-  // --- errors: the per-stage isolation tallies.
-  ByteWriter errors;
-  errors.WriteU32(static_cast<uint32_t>(stage_errors_.size()));
-  for (const auto& [label, stat] : stage_errors_) {
-    errors.WriteString(label);
-    errors.WriteI64(stat.errors);
-    errors.WriteString(stat.last_message);
-  }
-  out.AddSection("errors", std::move(errors));
-
-  // --- queries: the multi-tenant serving layer (section absent while
-  // inactive; never part of the config fingerprint — subscriptions are
-  // runtime state).
-  queries_.Checkpoint(out);
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status EspProcessor::Restore(const CheckpointReader& in) {
@@ -694,18 +496,18 @@ Status EspProcessor::Restore(const CheckpointReader& in) {
                          in.Section("receptors"));
     ByteReader r(payload);
     for (TypeRuntime& type : types_) {
+      const std::string& device_type = type.config->device_type;
       for (ReceptorChain& chain : type.receptors) {
         ESP_ASSIGN_OR_RETURN(const std::string group_id, r.ReadString());
         ESP_ASSIGN_OR_RETURN(const ProximityGroup* current,
-                             granules_.GroupOf(type.config.device_type,
+                             granules_.GroupOf(device_type,
                                                chain.receptor_id));
         if (!StrEqualsIgnoreCase(current->id, group_id)) {
-          if (group_id == QuarantineGroupId(type.config.device_type)) {
-            ESP_RETURN_IF_ERROR(
-                EnsureQuarantineGroup(type.config.device_type));
+          if (group_id == QuarantineGroupId(device_type)) {
+            ESP_RETURN_IF_ERROR(EnsureQuarantineGroup(device_type));
           }
           ESP_RETURN_IF_ERROR(granules_.MoveReceptor(
-              type.config.device_type, chain.receptor_id, group_id));
+              device_type, chain.receptor_id, group_id));
         }
         ESP_ASSIGN_OR_RETURN(const std::string health_blob, r.ReadString());
         ByteReader health_reader(health_blob);
@@ -720,7 +522,7 @@ Status EspProcessor::Restore(const CheckpointReader& in) {
         for (uint32_t i = 0; i < pending; ++i) {
           ESP_ASSIGN_OR_RETURN(
               Tuple tuple,
-              stream::ReadTuple(r, type.config.reading_schema));
+              stream::ReadTuple(r, type.config->reading_schema));
           chain.pending.push_back(std::move(tuple));
         }
       }
@@ -730,101 +532,28 @@ Status EspProcessor::Restore(const CheckpointReader& in) {
     }
   }
 
-  // --- stages.
-  {
-    ESP_ASSIGN_OR_RETURN(const std::string_view payload,
-                         in.Section("stages"));
-    ByteReader r(payload);
-    for (TypeRuntime& type : types_) {
-      for (ReceptorChain& chain : type.receptors) {
-        for (std::unique_ptr<Stage>& stage : chain.point) {
-          ESP_RETURN_IF_ERROR(LoadStageBlob(stage.get(), r));
-        }
-        if (chain.smooth != nullptr) {
-          ESP_RETURN_IF_ERROR(LoadStageBlob(chain.smooth.get(), r));
-        }
+  // --- stages, errors, queries.
+  return tail_.Load(in, [this](size_t t, ByteReader& r) -> Status {
+    for (ReceptorChain& chain : types_[t].receptors) {
+      for (std::unique_ptr<Stage>& stage : chain.point) {
+        ESP_RETURN_IF_ERROR(LoadStageBlob(stage.get(), r));
       }
-      for (GroupChain& group : type.groups) {
-        if (group.merge != nullptr) {
-          ESP_RETURN_IF_ERROR(LoadStageBlob(group.merge.get(), r));
-        }
-      }
-      if (type.arbitrate != nullptr) {
-        ESP_RETURN_IF_ERROR(LoadStageBlob(type.arbitrate.get(), r));
+      if (chain.smooth != nullptr) {
+        ESP_RETURN_IF_ERROR(LoadStageBlob(chain.smooth.get(), r));
       }
     }
-    if (virtualize_ != nullptr) {
-      ESP_RETURN_IF_ERROR(LoadStageBlob(virtualize_.get(), r));
+    for (GroupChain& group : types_[t].groups) {
+      if (group.merge != nullptr) {
+        ESP_RETURN_IF_ERROR(LoadStageBlob(group.merge.get(), r));
+      }
     }
-    if (!r.exhausted()) {
-      return Status::ParseError("stages section has trailing bytes");
-    }
-  }
-
-  // --- errors.
-  {
-    ESP_ASSIGN_OR_RETURN(const std::string_view payload,
-                         in.Section("errors"));
-    ByteReader r(payload);
-    ESP_ASSIGN_OR_RETURN(const uint32_t count, r.ReadU32());
-    stage_errors_.clear();
-    for (uint32_t i = 0; i < count; ++i) {
-      ESP_ASSIGN_OR_RETURN(std::string label, r.ReadString());
-      StageErrorStat stat;
-      stat.stage = label;
-      ESP_ASSIGN_OR_RETURN(stat.errors, r.ReadI64());
-      ESP_ASSIGN_OR_RETURN(stat.last_message, r.ReadString());
-      stage_errors_.emplace(std::move(label), std::move(stat));
-    }
-    if (!r.exhausted()) {
-      return Status::ParseError("errors section has trailing bytes");
-    }
-  }
-
-  // --- queries (absent in snapshots without subscriptions).
-  ESP_RETURN_IF_ERROR(queries_.Restore(in, QueryStreams()));
-  return Status::OK();
-}
-
-QueryServingLayer::StreamLister EspProcessor::QueryStreams() const {
-  return [this]() -> StatusOr<
-                      std::vector<std::pair<std::string, SchemaRef>>> {
-    if (!started_) return Status::Internal("processor not started");
-    std::vector<std::pair<std::string, SchemaRef>> streams;
-    streams.reserve(types_.size());
-    for (const TypeRuntime& type : types_) {
-      streams.emplace_back(type.config.virtualize_input, type.output_schema);
-    }
-    return streams;
-  };
-}
-
-Status EspProcessor::RegisterQuery(const std::string& tenant,
-                                   const std::string& name,
-                                   const std::string& query_text) {
-  if (!started_) return Status::Internal("processor not started");
-  return queries_.Register(QueryStreams(), tenant, name, query_text);
-}
-
-Status EspProcessor::UnregisterQuery(const std::string& name) {
-  return queries_.Unregister(name);
-}
-
-Status EspProcessor::SetTenantBudgets(const std::string& tenant,
-                                      const cql::TenantBudgets& budgets) {
-  return queries_.SetTenantBudgets(tenant, budgets);
+    return Status::OK();
+  });
 }
 
 StatusOr<SchemaRef> EspProcessor::TypeOutputSchema(
     const std::string& device_type) const {
-  for (const TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      if (!started_) return Status::Internal("processor not started");
-      return type.output_schema;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
+  return tail_.OutputSchema(device_type);
 }
 
 }  // namespace esp::core

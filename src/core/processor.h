@@ -1,7 +1,6 @@
 #ifndef ESP_CORE_PROCESSOR_H_
 #define ESP_CORE_PROCESSOR_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -13,6 +12,7 @@
 #include "common/time.h"
 #include "core/checkpoint.h"
 #include "core/engine.h"
+#include "core/engine_tail.h"
 #include "core/granule.h"
 #include "core/health.h"
 #include "core/query_serving.h"
@@ -20,45 +20,6 @@
 #include "stream/tuple.h"
 
 namespace esp::core {
-
-/// \brief Configuration of one device type's cleaning pipeline — which of
-/// the five stages are deployed and how (Figure 4). Stages may be omitted
-/// (not all stages need be implemented, Section 3.3); omitted stages become
-/// pass-throughs.
-struct DeviceTypePipeline {
-  /// Device type key, matching the proximity groups' device_type.
-  std::string device_type;
-
-  /// Schema of the raw readings pushed for this type.
-  stream::SchemaRef reading_schema;
-
-  /// Column of `reading_schema` holding the receptor id, used to route raw
-  /// readings to per-receptor stage instances.
-  std::string receptor_id_column;
-
-  /// Point stages, applied per receptor in order (tuple-level filters and
-  /// transforms). May be empty.
-  std::vector<StageFactory> point;
-
-  /// Smooth stage, instantiated per receptor (temporal-granule
-  /// aggregation). Optional.
-  StageFactory smooth;
-
-  /// Merge stage, instantiated per proximity group over the union of its
-  /// members' streams (spatial-granule aggregation). Optional — when
-  /// omitted, members' streams are unioned unchanged. Either way ESP has
-  /// already stamped each tuple with its spatial_granule attribute
-  /// (footnote 2 of the paper).
-  StageFactory merge;
-
-  /// Arbitrate stage, one instance across all of this type's proximity
-  /// groups (conflict resolution between spatial granules). Optional.
-  StageFactory arbitrate;
-
-  /// Stream name under which this type's cleaned output feeds the
-  /// Virtualize stage; defaults to "<device_type>_input".
-  std::string virtualize_input;
-};
 
 /// \brief The ESP Processor: initiates data flow from the receptors and
 /// applies each stage in a Fjord-style manner as readings stream through
@@ -90,11 +51,13 @@ class EspProcessor : public StreamEngine {
   /// horizon, stage-error isolation). Must be called before Start(); the
   /// default-constructed policy preserves the strict historical behaviour.
   Status SetHealthPolicy(HealthPolicy policy);
-  const HealthPolicy& health_policy() const { return policy_; }
+  const HealthPolicy& health_policy() const { return tail_.policy(); }
 
   /// Installs the cross-device-type Virtualize stage. Its inputs must be
   /// the pipelines' virtualize_input names.
-  void SetVirtualize(std::unique_ptr<Stage> stage);
+  void SetVirtualize(std::unique_ptr<Stage> stage) {
+    tail_.SetVirtualize(std::move(stage));
+  }
 
   /// Instantiates and binds every stage. No further configuration after
   /// this.
@@ -117,6 +80,14 @@ class EspProcessor : public StreamEngine {
   /// Runs the full cascade at time `now`. Tick times must be
   /// non-decreasing.
   StatusOr<TickResult> Tick(Timestamp now) override;
+
+  /// The per-group half of Tick(): releases the reorder buffers and runs
+  /// Point, Smooth and Merge, returning each type's post-Merge relations in
+  /// group-registration order (the EngineTail's input) and appending the
+  /// group partials when exporting. Tick() is this followed by the tail;
+  /// ShardedEspProcessor ticks its shards through it.
+  StatusOr<MergedGroups> TickGroups(Timestamp now,
+                                    std::vector<GroupPartial>& partials);
 
   /// See StreamEngine::SetExportGroupPartials.
   void SetExportGroupPartials(bool enabled) override {
@@ -178,20 +149,26 @@ class EspProcessor : public StreamEngine {
   /// budgets) before the first subscription is registered. The deployment
   /// loader calls this for the [tenants] section.
   Status SetQueryServingOptions(cql::QueryRegistry::Options options) {
-    return queries_.Configure(std::move(options));
+    return tail_.queries().Configure(std::move(options));
   }
 
   /// Standing-query serving over the per-type cleaned output streams (the
   /// pipelines' virtualize_input names). Valid after Start(). See
   /// StreamEngine and cql/query_registry.h.
   Status RegisterQuery(const std::string& tenant, const std::string& name,
-                       const std::string& query_text) override;
-  Status UnregisterQuery(const std::string& name) override;
+                       const std::string& query_text) override {
+    return tail_.RegisterQuery(tenant, name, query_text);
+  }
+  Status UnregisterQuery(const std::string& name) override {
+    return tail_.UnregisterQuery(name);
+  }
   Status SetTenantBudgets(const std::string& tenant,
-                          const cql::TenantBudgets& budgets) override;
+                          const cql::TenantBudgets& budgets) override {
+    return tail_.SetTenantBudgets(tenant, budgets);
+  }
 
   /// The serving layer itself, for tests and benches (may be inactive).
-  QueryServingLayer& query_serving() { return queries_; }
+  QueryServingLayer& query_serving() { return tail_.queries(); }
 
  private:
   struct ReceptorChain {
@@ -209,58 +186,31 @@ class EspProcessor : public StreamEngine {
     std::string group_id;
     std::unique_ptr<Stage> merge;  // May be null.
   };
+  /// Per-group state of one device type, indexed like the tail's pipelines
+  /// (built at Start()).
   struct TypeRuntime {
-    DeviceTypePipeline config;
+    const DeviceTypePipeline* config = nullptr;  // Owned by tail_.
     std::vector<ReceptorChain> receptors;
     std::vector<GroupChain> groups;
-    std::unique_ptr<Stage> arbitrate;  // May be null.
     stream::SchemaRef augmented_schema;  // Smooth output + spatial_granule.
-    stream::SchemaRef output_schema;
   };
-
-  StatusOr<TypeRuntime*> FindType(const std::string& device_type);
-
-  /// The streams the serving layer exposes to queries: each type's
-  /// virtualize_input name with its cleaned-output schema.
-  QueryServingLayer::StreamLister QueryStreams() const;
 
   /// Appends the spatial_granule attribute (unless already present).
   static StatusOr<stream::SchemaRef> AugmentSchema(
       const stream::SchemaRef& schema);
 
-  /// Feeds `input` through `stage` and evaluates it at `now`. On a non-OK
-  /// stage result under kDegrade, records the error (against `type` /
-  /// `owner_id`, and `chain` when the stage belongs to a receptor) and
-  /// degrades: the input passes through unchanged when its schema matches
-  /// the stage's output schema, otherwise the stage contributes an empty
-  /// relation. Under kFailFast the error propagates.
-  StatusOr<stream::Relation> RunStageGuarded(Stage* stage,
-                                             const std::string& input_name,
-                                             stream::Relation input,
-                                             Timestamp now,
-                                             const std::string& device_type,
-                                             const std::string& owner_id,
-                                             ReceptorChain* chain);
-
-  /// Records one stage error under its "<type>/<Kind>[owner]" label.
-  void RecordStageError(Stage* stage, const std::string& device_type,
-                        const std::string& owner_id, const Status& status);
-
   /// Registers the per-type quarantine parking group on first use.
   Status EnsureQuarantineGroup(const std::string& device_type);
 
   GranuleMap granules_;
+  /// Pipelines, health policy, Arbitrate / Virtualize, stage-error
+  /// tallies, and query serving.
+  EngineTail tail_;
   std::vector<TypeRuntime> types_;
-  std::unique_ptr<Stage> virtualize_;
-  HealthPolicy policy_;
-  /// Stage-error tallies keyed by stage label (deterministic order).
-  std::map<std::string, StageErrorStat> stage_errors_;
   /// Device types whose quarantine group has been registered.
   std::set<std::string> quarantine_groups_;
   RecoveryStats recovery_stats_;
   IngestStats ingest_stats_;
-  /// Multi-tenant standing-query serving over the cleaned outputs.
-  QueryServingLayer queries_;
   /// Guards ingest_source_: Health() may run concurrently with the ingest
   /// server installing / freezing its stats source.
   mutable std::mutex ingest_source_mu_;

@@ -20,7 +20,7 @@ namespace esp::core {
 /// created cql::QueryRegistry over the engine's cleaned per-type output
 /// streams, plus checkpoint/restore glue.
 ///
-/// Both EspProcessor and ShardedEspProcessor own one. The registry is
+/// The EngineTail every engine runs owns one. The registry is
 /// created on the first registration (a deployment with no subscriptions
 /// pays nothing) against whatever streams the engine exposes at that
 /// moment; configuration (sharing toggles, budgets) installed before then

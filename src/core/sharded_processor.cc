@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <utility>
 
 #include "common/string_util.h"
@@ -45,44 +46,12 @@ Status ShardedEspProcessor::AddProximityGroup(ProximityGroup group) {
 
 Status ShardedEspProcessor::SetHealthPolicy(HealthPolicy policy) {
   if (started_) return Status::Internal("processor already started");
-  if (policy.liveness_enabled() &&
-      policy.staleness_threshold <= policy.lateness_horizon) {
-    return Status::InvalidArgument(
-        "staleness threshold must exceed the lateness horizon (admitted-late "
-        "readings make live receptors look up to one horizon stale)");
-  }
-  policy_ = policy;
-  return Status::OK();
+  return tail_.SetHealthPolicy(policy);
 }
 
 Status ShardedEspProcessor::AddPipeline(DeviceTypePipeline pipeline) {
   if (started_) return Status::Internal("processor already started");
-  if (pipeline.reading_schema == nullptr) {
-    return Status::InvalidArgument("pipeline for '" + pipeline.device_type +
-                                   "' has no reading schema");
-  }
-  if (!pipeline.reading_schema->Contains(pipeline.receptor_id_column)) {
-    return Status::InvalidArgument(
-        "receptor id column '" + pipeline.receptor_id_column +
-        "' not in reading schema for '" + pipeline.device_type + "'");
-  }
-  for (const TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, pipeline.device_type)) {
-      return Status::AlreadyExists("pipeline for '" + pipeline.device_type +
-                                   "' already registered");
-    }
-  }
-  if (pipeline.virtualize_input.empty()) {
-    pipeline.virtualize_input = pipeline.device_type + "_input";
-  }
-  TypeRuntime runtime;
-  runtime.config = std::move(pipeline);
-  types_.push_back(std::move(runtime));
-  return Status::OK();
-}
-
-void ShardedEspProcessor::SetVirtualize(std::unique_ptr<Stage> stage) {
-  virtualize_ = std::move(stage);
+  return tail_.AddPipeline(std::move(pipeline));
 }
 
 Status ShardedEspProcessor::Start() {
@@ -103,20 +72,23 @@ Status ShardedEspProcessor::Start() {
   shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<EspProcessor>());
-    ESP_RETURN_IF_ERROR(shards_[s]->SetHealthPolicy(policy_));
+    ESP_RETURN_IF_ERROR(shards_[s]->SetHealthPolicy(tail_.policy()));
     shards_[s]->SetExportGroupPartials(export_group_partials_);
   }
 
   // Partition each type's proximity groups into contiguous blocks in
   // registration order: with G groups over N shards, the first G % N shards
   // take ceil(G/N) groups, the rest floor(G/N). Contiguity is what makes
-  // the shard-order merge reproduce the single processor's group-ordered
-  // Union (see class comment).
-  for (TypeRuntime& type : types_) {
-    const auto groups = staged_granules_.GroupsOfType(type.config.device_type);
+  // the shards' relations, taken in shard order, the single processor's
+  // groups in registration order (see class comment).
+  hosts_.assign(tail_.num_types(), {});
+  std::vector<size_t> shard_types(num_shards, 0);
+  for (size_t t = 0; t < tail_.num_types(); ++t) {
+    const DeviceTypePipeline& config = tail_.pipeline(t);
+    const auto groups = staged_granules_.GroupsOfType(config.device_type);
     if (groups.empty()) {
       return Status::InvalidArgument("no proximity groups for device type '" +
-                                     type.config.device_type + "'");
+                                     config.device_type + "'");
     }
     const size_t g_count = groups.size();
     const size_t base = g_count / num_shards;
@@ -129,131 +101,43 @@ Status ShardedEspProcessor::Start() {
         const ProximityGroup* group = groups[next];
         ESP_RETURN_IF_ERROR(shards_[s]->AddProximityGroup(*group));
         for (const std::string& receptor_id : group->receptor_ids) {
-          receptor_shard_[RouteKey(type.config.device_type, receptor_id)] = s;
+          receptor_shard_[RouteKey(config.device_type, receptor_id)] = s;
         }
       }
-      type.hosting_shards.push_back(s);
-      // The shard runs everything through Merge; Arbitrate (cross-group)
-      // and Virtualize (cross-type) stay in this wrapper.
-      DeviceTypePipeline shard_pipeline = type.config;
-      shard_pipeline.arbitrate = nullptr;
-      ESP_RETURN_IF_ERROR(
-          shards_[s]->AddPipeline(std::move(shard_pipeline)));
+      hosts_[t].push_back(Host{s, shard_types[s]++});
+      ESP_RETURN_IF_ERROR(shards_[s]->AddPipeline(tail_.GroupPipeline(t)));
     }
   }
 
-  cql::SchemaCatalog virtualize_inputs;
   for (size_t s = 0; s < num_shards; ++s) {
     ESP_RETURN_IF_ERROR(shards_[s]->Start());
   }
-  for (TypeRuntime& type : types_) {
+  std::vector<SchemaRef> group_outputs;
+  for (size_t t = 0; t < tail_.num_types(); ++t) {
     ESP_ASSIGN_OR_RETURN(
-        type.group_output_schema,
-        shards_[type.hosting_shards.front()]->TypeOutputSchema(
-            type.config.device_type));
-    SchemaRef type_out = type.group_output_schema;
-    if (type.config.arbitrate != nullptr) {
-      ESP_ASSIGN_OR_RETURN(type.arbitrate, type.config.arbitrate());
-      cql::SchemaCatalog catalog;
-      catalog.AddStream(StageInputName(StageKind::kArbitrate),
-                        type.group_output_schema);
-      ESP_RETURN_IF_ERROR(type.arbitrate->Bind(catalog));
-      type_out = type.arbitrate->output_schema();
-    }
-    type.output_schema = type_out;
-    virtualize_inputs.AddStream(type.config.virtualize_input, type_out);
+        SchemaRef group_output,
+        shards_[hosts_[t].front().shard]->TypeOutputSchema(
+            tail_.pipeline(t).device_type));
+    group_outputs.push_back(std::move(group_output));
   }
-  if (virtualize_ != nullptr) {
-    ESP_RETURN_IF_ERROR(virtualize_->Bind(virtualize_inputs));
-  }
+  ESP_RETURN_IF_ERROR(tail_.Start(group_outputs));
   started_ = true;
   return Status::OK();
 }
 
-StatusOr<ShardedEspProcessor::TypeRuntime*> ShardedEspProcessor::FindType(
-    const std::string& device_type) {
-  for (TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      return &type;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
-}
-
-StatusOr<const ShardedEspProcessor::TypeRuntime*>
-ShardedEspProcessor::FindType(const std::string& device_type) const {
-  for (const TypeRuntime& type : types_) {
-    if (StrEqualsIgnoreCase(type.config.device_type, device_type)) {
-      return &type;
-    }
-  }
-  return Status::NotFound("no pipeline for device type '" + device_type +
-                          "'");
-}
-
 Status ShardedEspProcessor::Push(const std::string& device_type, Tuple raw) {
   if (!started_) return Status::Internal("processor not started");
-  ESP_ASSIGN_OR_RETURN(TypeRuntime * type, FindType(device_type));
-  // Same validation order as EspProcessor::Push, so a reading that is wrong
-  // in several ways gets the same verdict from either engine.
-  if (raw.schema() == nullptr ||
-      (raw.schema().get() != type->config.reading_schema.get() &&
-       !raw.schema()->Equals(*type->config.reading_schema))) {
-    return Status::TypeError("raw reading schema mismatch for type '" +
-                             device_type + "'");
-  }
-  ESP_ASSIGN_OR_RETURN(const Value receptor,
-                       raw.Get(type->config.receptor_id_column));
-  if (receptor.type() != stream::DataType::kString) {
-    return Status::TypeError("receptor id column must be a string");
-  }
-  const auto it = receptor_shard_.find(
-      RouteKey(device_type, receptor.string_value()));
+  ESP_ASSIGN_OR_RETURN(const EngineTail::Reading reading,
+                       tail_.ValidateReading(device_type, raw));
+  const std::string& receptor = reading.receptor.string_value();
+  const auto it = receptor_shard_.find(RouteKey(device_type, receptor));
   if (it == receptor_shard_.end()) {
-    return Status::NotFound("receptor '" + receptor.string_value() +
-                            "' of type '" + device_type +
-                            "' is in no proximity group");
+    return EngineTail::UnknownReceptor(receptor, device_type);
   }
   // The shard re-runs the cheap validations (the schema check hits the
   // pointer fast path) and applies the watermark contract against its own
   // clock, which ticks in lockstep with ours.
   return shards_[it->second]->Push(device_type, std::move(raw));
-}
-
-void ShardedEspProcessor::RecordStageError(Stage* stage,
-                                           const std::string& device_type,
-                                           const std::string& owner_id,
-                                           const Status& status) {
-  const std::string label = device_type + "/" +
-                            StageKindToString(stage->kind()) + "[" + owner_id +
-                            "]";
-  StageErrorStat& stat = stage_errors_[label];
-  stat.stage = label;
-  ++stat.errors;
-  stat.last_message = status.ToString();
-}
-
-StatusOr<Relation> ShardedEspProcessor::RunStageGuarded(
-    Stage* stage, const std::string& input_name, Relation input, Timestamp now,
-    const std::string& device_type, const std::string& owner_id) {
-  auto run = [&]() -> StatusOr<Relation> {
-    for (const Tuple& tuple : input.tuples()) {
-      ESP_RETURN_IF_ERROR(stage->Push(input_name, tuple));
-    }
-    return stage->Evaluate(now);
-  };
-  StatusOr<Relation> out = run();
-  if (out.ok()) return out;
-  if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-    return out.status();
-  }
-  RecordStageError(stage, device_type, owner_id, out.status());
-  if (input.schema() != nullptr && stage->output_schema() != nullptr &&
-      input.schema()->Equals(*stage->output_schema())) {
-    return input;
-  }
-  return Relation(stage->output_schema());
 }
 
 void ShardedEspProcessor::SetExportGroupPartials(bool enabled) {
@@ -271,109 +155,44 @@ StatusOr<TickResult> ShardedEspProcessor::Tick(Timestamp now) {
   last_tick_ = now;
   has_ticked_ = true;
 
-  // Fan the shard cascades out on the pool. Each slot is written by exactly
+  // Fan the per-group work out on the pool. Each slot is written by exactly
   // one worker; errors are surfaced in shard order for determinism.
-  std::vector<std::optional<StatusOr<TickResult>>> shard_results(
+  std::vector<std::optional<StatusOr<MergedGroups>>> shard_groups(
       shards_.size());
+  std::vector<std::vector<GroupPartial>> shard_partials(shards_.size());
   pool_->ParallelFor(shards_.size(), [&](size_t s) {
-    shard_results[s] = shards_[s]->Tick(now);
+    shard_groups[s] = shards_[s]->TickGroups(now, shard_partials[s]);
   });
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!shard_results[s]->ok()) return shard_results[s]->status();
+    if (!shard_groups[s]->ok()) return shard_groups[s]->status();
   }
 
+  // Block contiguity: each type's hosting shards, in shard order, hold its
+  // groups in registration order.
   TickResult result;
-  if (export_group_partials_) {
-    for (TypeRuntime& type : types_) {
-      for (const size_t s : type.hosting_shards) {
-        for (GroupPartial& partial :
-             shard_results[s]->value().group_partials) {
-          if (!StrEqualsIgnoreCase(partial.device_type,
-                                   type.config.device_type)) {
-            continue;
-          }
+  MergedGroups groups(hosts_.size());
+  for (size_t t = 0; t < hosts_.size(); ++t) {
+    for (const Host& host : hosts_[t]) {
+      std::vector<Relation>& part =
+          shard_groups[host.shard]->value()[host.local_type];
+      groups[t].insert(groups[t].end(), std::make_move_iterator(part.begin()),
+                       std::make_move_iterator(part.end()));
+      for (GroupPartial& partial : shard_partials[host.shard]) {
+        if (StrEqualsIgnoreCase(partial.device_type,
+                                tail_.pipeline(t).device_type)) {
           result.group_partials.push_back(std::move(partial));
         }
       }
     }
   }
-  for (TypeRuntime& type : types_) {
-    // Concatenate the shards' per-type outputs in shard order — block
-    // contiguity makes this the single processor's group-ordered Union.
-    Relation merged(type.group_output_schema);
-    for (const size_t s : type.hosting_shards) {
-      TickResult& shard_result = shard_results[s]->value();
-      for (auto& [name, relation] : shard_result.per_type) {
-        if (!StrEqualsIgnoreCase(name, type.config.device_type)) continue;
-        auto& tuples = relation.mutable_tuples();
-        merged.mutable_tuples().insert(
-            merged.mutable_tuples().end(),
-            std::make_move_iterator(tuples.begin()),
-            std::make_move_iterator(tuples.end()));
-        break;
-      }
-    }
-
-    Relation type_out;
-    if (type.arbitrate != nullptr) {
-      ESP_ASSIGN_OR_RETURN(
-          type_out, RunStageGuarded(type.arbitrate.get(),
-                                    StageInputName(StageKind::kArbitrate),
-                                    std::move(merged), now,
-                                    type.config.device_type,
-                                    type.config.device_type));
-    } else {
-      type_out = std::move(merged);
-    }
-
-    if (virtualize_ != nullptr) {
-      for (const Tuple& tuple : type_out.tuples()) {
-        const Status pushed =
-            virtualize_->Push(type.config.virtualize_input, tuple);
-        if (!pushed.ok()) {
-          if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-            return pushed;
-          }
-          RecordStageError(virtualize_.get(), type.config.device_type,
-                           type.config.virtualize_input, pushed);
-          break;  // Skip the rest of this type's feed this tick.
-        }
-      }
-    }
-    result.per_type.emplace_back(type.config.device_type,
-                                 std::move(type_out));
-  }
-
-  if (queries_.active()) {
-    std::vector<std::pair<std::string, const Relation*>> inputs;
-    inputs.reserve(types_.size());
-    for (size_t i = 0; i < types_.size(); ++i) {
-      inputs.emplace_back(types_[i].config.virtualize_input,
-                          &result.per_type[i].second);
-    }
-    ESP_ASSIGN_OR_RETURN(result.query_results,
-                         queries_.FeedAndTick(inputs, now));
-  }
-
-  if (virtualize_ != nullptr) {
-    StatusOr<Relation> out = virtualize_->Evaluate(now);
-    if (out.ok()) {
-      result.virtualized = std::move(out).value();
-    } else if (policy_.stage_error_policy == StageErrorPolicy::kFailFast) {
-      return out.status();
-    } else {
-      RecordStageError(virtualize_.get(), "virtualize", "virtualize",
-                       out.status());
-      result.virtualized = Relation(virtualize_->output_schema());
-    }
-  }
+  ESP_RETURN_IF_ERROR(tail_.Run(std::move(groups), now, result));
   return result;
 }
 
 PipelineHealth ShardedEspProcessor::Health() const {
   PipelineHealth health;
   health.recovery = recovery_stats_;
-  health.queries = queries_.Stats();
+  health.queries = tail_.queries().Stats();
   {
     std::lock_guard<std::mutex> lock(ingest_source_mu_);
     health.ingest = ingest_source_ ? ingest_source_() : ingest_stats_;
@@ -389,10 +208,11 @@ PipelineHealth ShardedEspProcessor::Health() const {
   // receptors in group-block order — i.e. each type's hosting shards in
   // ascending order, each shard's receptors of that type in its local
   // (block-contiguous) order.
-  for (const TypeRuntime& type : types_) {
-    for (const size_t s : type.hosting_shards) {
-      for (const ReceptorHealth& r : shard_health[s].receptors) {
-        if (!StrEqualsIgnoreCase(r.device_type, type.config.device_type)) {
+  for (size_t t = 0; t < hosts_.size(); ++t) {
+    for (const Host& host : hosts_[t]) {
+      for (const ReceptorHealth& r : shard_health[host.shard].receptors) {
+        if (!StrEqualsIgnoreCase(r.device_type,
+                                 tail_.pipeline(t).device_type)) {
           continue;
         }
         health.receptors.push_back(r);
@@ -408,7 +228,7 @@ PipelineHealth ShardedEspProcessor::Health() const {
   // One label-sorted error list: shard-local labels (receptor/group owners
   // are disjoint across shards) plus the wrapper's Arbitrate / Virtualize
   // labels — matching the single processor's sorted map.
-  std::map<std::string, StageErrorStat> merged(stage_errors_);
+  std::map<std::string, StageErrorStat> merged(tail_.stage_errors());
   for (const PipelineHealth& sh : shard_health) {
     for (const StageErrorStat& stat : sh.stage_errors) {
       merged[stat.stage] = stat;
@@ -423,67 +243,31 @@ PipelineHealth ShardedEspProcessor::Health() const {
 
 StatusOr<SchemaRef> ShardedEspProcessor::TypeReadingSchema(
     const std::string& device_type) const {
-  ESP_ASSIGN_OR_RETURN(const TypeRuntime* type, FindType(device_type));
-  return type->config.reading_schema;
+  return tail_.ReadingSchema(device_type);
 }
 
 StatusOr<SchemaRef> ShardedEspProcessor::TypeOutputSchema(
     const std::string& device_type) const {
-  ESP_ASSIGN_OR_RETURN(const TypeRuntime* type, FindType(device_type));
-  if (!started_) return Status::Internal("processor not started");
-  return type->output_schema;
+  return tail_.OutputSchema(device_type);
 }
 
 size_t ShardedEspProcessor::BufferedTuples() const {
-  size_t total = 0;
+  size_t total = tail_.BufferedTuples();
   for (const std::unique_ptr<EspProcessor>& shard : shards_) {
     total += shard->BufferedTuples();
   }
-  for (const TypeRuntime& type : types_) {
-    if (type.arbitrate != nullptr) total += type.arbitrate->buffered();
-  }
-  if (virtualize_ != nullptr) total += virtualize_->buffered();
-  total += queries_.BufferedTuples();
   return total;
-}
-
-QueryServingLayer::StreamLister ShardedEspProcessor::QueryStreams() const {
-  return [this]() -> StatusOr<
-                      std::vector<std::pair<std::string, SchemaRef>>> {
-    if (!started_) return Status::Internal("processor not started");
-    std::vector<std::pair<std::string, SchemaRef>> streams;
-    streams.reserve(types_.size());
-    for (const TypeRuntime& type : types_) {
-      streams.emplace_back(type.config.virtualize_input, type.output_schema);
-    }
-    return streams;
-  };
-}
-
-Status ShardedEspProcessor::RegisterQuery(const std::string& tenant,
-                                          const std::string& name,
-                                          const std::string& query_text) {
-  if (!started_) return Status::Internal("processor not started");
-  return queries_.Register(QueryStreams(), tenant, name, query_text);
-}
-
-Status ShardedEspProcessor::UnregisterQuery(const std::string& name) {
-  return queries_.Unregister(name);
-}
-
-Status ShardedEspProcessor::SetTenantBudgets(
-    const std::string& tenant, const cql::TenantBudgets& budgets) {
-  return queries_.SetTenantBudgets(tenant, budgets);
 }
 
 ByteWriter ShardedEspProcessor::ConfigFingerprint() const {
   ByteWriter config;
   config.WriteU32(static_cast<uint32_t>(options_.num_shards));
-  config.WriteU32(static_cast<uint32_t>(types_.size()));
-  for (const TypeRuntime& type : types_) {
-    config.WriteString(type.config.device_type);
-    stream::WriteSchema(config, *type.config.reading_schema);
-    const auto groups = staged_granules_.GroupsOfType(type.config.device_type);
+  config.WriteU32(static_cast<uint32_t>(tail_.num_types()));
+  for (size_t t = 0; t < tail_.num_types(); ++t) {
+    const DeviceTypePipeline& type = tail_.pipeline(t);
+    config.WriteString(type.device_type);
+    stream::WriteSchema(config, *type.reading_schema);
+    const auto groups = staged_granules_.GroupsOfType(type.device_type);
     config.WriteU32(static_cast<uint32_t>(groups.size()));
     for (const ProximityGroup* group : groups) {
       config.WriteString(group->id);
@@ -492,19 +276,13 @@ ByteWriter ShardedEspProcessor::ConfigFingerprint() const {
         config.WriteString(receptor_id);
       }
     }
-    config.WriteU32(static_cast<uint32_t>(type.config.point.size()));
-    config.WriteBool(type.config.smooth != nullptr);
-    config.WriteBool(type.config.merge != nullptr);
+    config.WriteU32(static_cast<uint32_t>(type.point.size()));
+    config.WriteBool(type.smooth != nullptr);
+    config.WriteBool(type.merge != nullptr);
     config.WriteBool(type.arbitrate != nullptr);
-    config.WriteString(type.config.virtualize_input);
+    config.WriteString(type.virtualize_input);
   }
-  config.WriteBool(virtualize_ != nullptr);
-  config.WriteI64(policy_.staleness_threshold.micros());
-  config.WriteI64(policy_.quarantine_timeout.micros());
-  config.WriteI64(policy_.revival_backoff.micros());
-  config.WriteI64(policy_.max_revival_backoff.micros());
-  config.WriteI64(policy_.lateness_horizon.micros());
-  config.WriteU8(static_cast<uint8_t>(policy_.stage_error_policy));
+  tail_.WriteConfig(config);
   return config;
 }
 
@@ -528,31 +306,9 @@ Status ShardedEspProcessor::Checkpoint(CheckpointWriter& out) const {
     out.AddSection(ShardSectionName(s), std::move(nested));
   }
 
-  // The wrapper-owned stages: per-type Arbitrate, then Virtualize.
-  ByteWriter stages;
-  for (const TypeRuntime& type : types_) {
-    if (type.arbitrate != nullptr) {
-      ESP_RETURN_IF_ERROR(SaveStageBlob(type.arbitrate.get(), stages));
-    }
-  }
-  if (virtualize_ != nullptr) {
-    ESP_RETURN_IF_ERROR(SaveStageBlob(virtualize_.get(), stages));
-  }
-  out.AddSection("stages", std::move(stages));
-
-  ByteWriter errors;
-  errors.WriteU32(static_cast<uint32_t>(stage_errors_.size()));
-  for (const auto& [label, stat] : stage_errors_) {
-    errors.WriteString(label);
-    errors.WriteI64(stat.errors);
-    errors.WriteString(stat.last_message);
-  }
-  out.AddSection("errors", std::move(errors));
-
-  // The serving layer (absent while no subscriptions exist; not part of
-  // the config fingerprint).
-  queries_.Checkpoint(out);
-  return Status::OK();
+  // The wrapper-owned stages (per-type Arbitrate, then Virtualize), their
+  // error tallies, and the serving layer.
+  return tail_.Save(out, nullptr);
 }
 
 Status ShardedEspProcessor::Restore(const CheckpointReader& in) {
@@ -592,44 +348,7 @@ Status ShardedEspProcessor::Restore(const CheckpointReader& in) {
     ESP_RETURN_IF_ERROR(shards_[s]->Restore(shard_in));
   }
 
-  {
-    ESP_ASSIGN_OR_RETURN(const std::string_view payload,
-                         in.Section("stages"));
-    ByteReader r(payload);
-    for (TypeRuntime& type : types_) {
-      if (type.arbitrate != nullptr) {
-        ESP_RETURN_IF_ERROR(LoadStageBlob(type.arbitrate.get(), r));
-      }
-    }
-    if (virtualize_ != nullptr) {
-      ESP_RETURN_IF_ERROR(LoadStageBlob(virtualize_.get(), r));
-    }
-    if (!r.exhausted()) {
-      return Status::ParseError("stages section has trailing bytes");
-    }
-  }
-
-  {
-    ESP_ASSIGN_OR_RETURN(const std::string_view payload,
-                         in.Section("errors"));
-    ByteReader r(payload);
-    ESP_ASSIGN_OR_RETURN(const uint32_t count, r.ReadU32());
-    stage_errors_.clear();
-    for (uint32_t i = 0; i < count; ++i) {
-      ESP_ASSIGN_OR_RETURN(std::string label, r.ReadString());
-      StageErrorStat stat;
-      stat.stage = label;
-      ESP_ASSIGN_OR_RETURN(stat.errors, r.ReadI64());
-      ESP_ASSIGN_OR_RETURN(stat.last_message, r.ReadString());
-      stage_errors_.emplace(std::move(label), std::move(stat));
-    }
-    if (!r.exhausted()) {
-      return Status::ParseError("errors section has trailing bytes");
-    }
-  }
-
-  ESP_RETURN_IF_ERROR(queries_.Restore(in, QueryStreams()));
-  return Status::OK();
+  return tail_.Load(in, nullptr);
 }
 
 }  // namespace esp::core

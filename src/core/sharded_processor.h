@@ -1,7 +1,6 @@
 #ifndef ESP_CORE_SHARDED_PROCESSOR_H_
 #define ESP_CORE_SHARDED_PROCESSOR_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,12 +26,12 @@ namespace esp::core {
 /// including Merge is local to one receptor or one proximity group, and
 /// receptors never migrate between groups of different shards (quarantine
 /// parks a receptor in a shard-local parking group). Each type's groups are
-/// partitioned into contiguous blocks in registration order, so
-/// concatenating the shards' per-type outputs in shard order reproduces the
-/// single processor's group-ordered Union. The only cross-group stages —
-/// Arbitrate (per type) and Virtualize (cross-type) — are stripped from the
-/// shards and run serially in this wrapper over the merged stream, exactly
-/// where the single processor runs them.
+/// partitioned into contiguous blocks in registration order, so the shards'
+/// post-Merge relations, taken in shard order, are the single processor's
+/// groups in registration order. The shards stop at Merge
+/// (EspProcessor::TickGroups); this wrapper hands their relations to the
+/// same EngineTail the single processor runs — Union, Arbitrate,
+/// Virtualize, and query serving.
 ///
 /// The parallel win on top of the pipeline parallelism: Push's linear
 /// receptor scan and Tick's per-receptor group routing shrink by the shard
@@ -64,8 +63,10 @@ class ShardedEspProcessor : public StreamEngine {
   Status AddProximityGroup(ProximityGroup group);
   Status AddPipeline(DeviceTypePipeline pipeline);
   Status SetHealthPolicy(HealthPolicy policy);
-  const HealthPolicy& health_policy() const { return policy_; }
-  void SetVirtualize(std::unique_ptr<Stage> stage);
+  const HealthPolicy& health_policy() const { return tail_.policy(); }
+  void SetVirtualize(std::unique_ptr<Stage> stage) {
+    tail_.SetVirtualize(std::move(stage));
+  }
 
   /// Partitions groups, builds the shards, binds the wrapper's Arbitrate
   /// and Virtualize stages, and freezes configuration.
@@ -105,44 +106,28 @@ class ShardedEspProcessor : public StreamEngine {
   /// outputs — the serving layer lives in the wrapper, where those streams
   /// are reassembled, never in the shards. See EspProcessor.
   Status SetQueryServingOptions(cql::QueryRegistry::Options options) {
-    return queries_.Configure(std::move(options));
+    return tail_.queries().Configure(std::move(options));
   }
   Status RegisterQuery(const std::string& tenant, const std::string& name,
-                       const std::string& query_text) override;
-  Status UnregisterQuery(const std::string& name) override;
+                       const std::string& query_text) override {
+    return tail_.RegisterQuery(tenant, name, query_text);
+  }
+  Status UnregisterQuery(const std::string& name) override {
+    return tail_.UnregisterQuery(name);
+  }
   Status SetTenantBudgets(const std::string& tenant,
-                          const cql::TenantBudgets& budgets) override;
-  QueryServingLayer& query_serving() { return queries_; }
+                          const cql::TenantBudgets& budgets) override {
+    return tail_.SetTenantBudgets(tenant, budgets);
+  }
+  QueryServingLayer& query_serving() { return tail_.queries(); }
 
  private:
-  /// Wrapper-side view of one device type: its original config (with the
-  /// Arbitrate factory), which shards host at least one of its groups, and
-  /// the wrapper's own Arbitrate instance.
-  struct TypeRuntime {
-    DeviceTypePipeline config;
-    std::vector<size_t> hosting_shards;   // Shard indices, ascending.
-    std::unique_ptr<Stage> arbitrate;     // May be null.
-    stream::SchemaRef group_output_schema;  // Shards' per-type output.
-    stream::SchemaRef output_schema;        // After wrapper Arbitrate.
+  /// One shard hosting groups of a device type, and the type's index
+  /// among that shard's pipelines.
+  struct Host {
+    size_t shard = 0;
+    size_t local_type = 0;
   };
-
-  StatusOr<TypeRuntime*> FindType(const std::string& device_type);
-  StatusOr<const TypeRuntime*> FindType(const std::string& device_type) const;
-
-  /// Streams the serving layer exposes: each type's virtualize_input name
-  /// with its final (post-Arbitrate) output schema.
-  QueryServingLayer::StreamLister QueryStreams() const;
-
-  /// Mirror of EspProcessor::RunStageGuarded for the wrapper-owned stages
-  /// (Arbitrate / Virtualize are never receptor-owned, so no chain).
-  StatusOr<stream::Relation> RunStageGuarded(Stage* stage,
-                                             const std::string& input_name,
-                                             stream::Relation input,
-                                             Timestamp now,
-                                             const std::string& device_type,
-                                             const std::string& owner_id);
-  void RecordStageError(Stage* stage, const std::string& device_type,
-                        const std::string& owner_id, const Status& status);
 
   /// Deterministic byte string identifying the deployed topology, policy,
   /// and shard count; Restore refuses snapshots whose fingerprint differs.
@@ -155,22 +140,20 @@ class ShardedEspProcessor : public StreamEngine {
   /// Staging registry (registration-ordered); used to validate, partition,
   /// and build the routing map. Not updated by shard-local quarantine moves.
   GranuleMap staged_granules_;
-  std::vector<TypeRuntime> types_;
-  std::unique_ptr<Stage> virtualize_;
-  HealthPolicy policy_;
+  /// Pipelines, health policy, Arbitrate / Virtualize, wrapper stage-error
+  /// tallies (shard-local labels live in the shards and are merged by
+  /// Health()), and query serving.
+  EngineTail tail_;
+  /// Per type (tail order): its hosting shards, ascending.
+  std::vector<std::vector<Host>> hosts_;
 
   std::vector<std::unique_ptr<EspProcessor>> shards_;
   /// (device_type '\0' receptor_id) -> shard index, case-insensitive.
   std::unordered_map<std::string, size_t, AsciiCaseHash, AsciiCaseEq>
       receptor_shard_;
 
-  /// Wrapper-stage error tallies (Arbitrate / Virtualize labels only;
-  /// shard-local labels live in the shards and are merged by Health()).
-  std::map<std::string, StageErrorStat> stage_errors_;
   RecoveryStats recovery_stats_;
   IngestStats ingest_stats_;
-  /// Multi-tenant standing-query serving over the reassembled outputs.
-  QueryServingLayer queries_;
   /// Guards ingest_source_ against Health() racing the ingest server's
   /// install/freeze (see engine.h).
   mutable std::mutex ingest_source_mu_;

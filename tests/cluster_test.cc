@@ -227,6 +227,55 @@ TEST(ClusterTest, PushValidatesTypeSchemaAndReceptor) {
     EXPECT_LT(*slot, 2u);
   }
   EXPECT_FALSE((*cluster)->SlotOfGroup("rfid", "pg_nowhere").ok());
+
+  // Every verdict is the monolith's, in code and message.
+  EspProcessor single;
+  for (const core::ProximityGroup& group : FourGroups()) {
+    ASSERT_TRUE(single.AddProximityGroup(group).ok());
+  }
+  ASSERT_TRUE(single.AddPipeline(RfidPipeline()).ok());
+  ASSERT_TRUE(single.Start().ok());
+  const auto bad_schema =
+      stream::MakeSchema({{"something", stream::DataType::kDouble}});
+  const Tuple numeric_reader(sim::RfidReadingSchema(),
+                             {stream::Value::Int64(7),
+                              stream::Value::String("x")},
+                             Timestamp::Seconds(0));
+  const std::vector<std::pair<std::string, Tuple>> pushes = {
+      {"sonar", Rfid(0, "x", 0)},
+      {"rfid", Tuple(bad_schema, {stream::Value::Double(1.0)},
+                     Timestamp::Seconds(0))},
+      {"RFID", numeric_reader},
+      {"rfid", sim::ToTuple(sim::RfidReading{"reader_99", "x",
+                                             Timestamp::Seconds(0)})},
+  };
+  for (const auto& [type, reading] : pushes) {
+    const Status expected = single.Push(type, reading);
+    ASSERT_FALSE(expected.ok());
+    EXPECT_EQ((*cluster)->Push(type, reading).ToString(), expected.ToString());
+  }
+  EXPECT_EQ((*cluster)->stats().readings_routed, 0);
+}
+
+TEST(ClusterTest, ConfigurationIsValidatedWhenSet) {
+  ClusterCoordinator cluster(TestClusterOptions(FreshDir("cluster_config")));
+  core::DeviceTypePipeline no_schema = RfidPipeline();
+  no_schema.reading_schema = nullptr;
+  EXPECT_EQ(cluster.AddPipeline(no_schema).code(),
+            StatusCode::kInvalidArgument);
+  core::DeviceTypePipeline bad_column = RfidPipeline();
+  bad_column.receptor_id_column = "antenna";
+  EXPECT_EQ(cluster.AddPipeline(bad_column).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(cluster.AddPipeline(RfidPipeline()).ok());
+  EXPECT_EQ(cluster.AddPipeline(RfidPipeline()).code(),
+            StatusCode::kAlreadyExists);
+
+  core::HealthPolicy policy;
+  policy.staleness_threshold = Duration::Seconds(1);
+  policy.lateness_horizon = Duration::Seconds(2);
+  EXPECT_EQ(cluster.SetHealthPolicy(policy).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ClusterTest, SigkilledWorkerFailsOverAndStaysBitwiseIdentical) {
