@@ -7,6 +7,7 @@
 // working directory the binary ran in.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -58,39 +59,41 @@ class LatencyRecorder {
   void Record(double ns) { samples_.push_back(ns); }
   size_t size() const { return samples_.size(); }
 
-  /// Nearest-rank percentile over the recorded samples; q in [0, 1].
+  /// True nearest-rank percentile over the recorded samples, q in [0, 1]:
+  /// element ceil(q * n) (1-based) of the sorted samples; q = 1 is the max.
   double Percentile(double q) {
     if (samples_.empty()) return 0.0;
-    const double rank = q * static_cast<double>(samples_.size() - 1);
-    size_t idx = static_cast<size_t>(rank);
-    if (idx >= samples_.size()) idx = samples_.size() - 1;
-    std::nth_element(samples_.begin(),
-                     samples_.begin() + static_cast<std::ptrdiff_t>(idx),
-                     samples_.end());
-    return samples_[idx];
+    const size_t n = samples_.size();
+    const size_t rank = std::clamp<size_t>(
+        static_cast<size_t>(std::ceil(q * static_cast<double>(n))), 1, n);
+    const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(samples_.begin(), nth, samples_.end());
+    return *nth;
   }
 
-  /// Publishes lat_p50/lat_p99/lat_p999 (ns) as benchmark counters, which
-  /// google-benchmark serializes into the BENCH_*.json entry. Templated so
-  /// this header stays usable from harnesses that do not link
-  /// google-benchmark.
+  /// Publishes lat_p50/lat_p99/lat_p999/lat_max (ns) and the sample count
+  /// lat_n as benchmark counters, which google-benchmark serializes into the
+  /// BENCH_*.json entry. Templated so this header stays usable from
+  /// harnesses that do not link google-benchmark.
   template <typename State>
   void Report(State& state) {
     if (samples_.empty()) return;
+    state.counters["lat_n"] = static_cast<double>(samples_.size());
     state.counters["lat_p50_ns"] = Percentile(0.50);
     state.counters["lat_p99_ns"] = Percentile(0.99);
     state.counters["lat_p999_ns"] = Percentile(0.999);
+    state.counters["lat_max_ns"] = Percentile(1.0);
   }
 
-  /// The same three percentiles as a JSON object fragment, for the
-  /// hand-rolled BENCH_*.json writers.
+  /// The same figures as a JSON object fragment, for the hand-rolled
+  /// BENCH_*.json writers.
   std::string ToJson() {
-    char buf[160];
+    char buf[192];
     std::snprintf(buf, sizeof(buf),
                   "{\"p50_ns\": %.0f, \"p99_ns\": %.0f, \"p999_ns\": %.0f, "
-                  "\"samples\": %zu}",
+                  "\"max_ns\": %.0f, \"n\": %zu}",
                   Percentile(0.50), Percentile(0.99), Percentile(0.999),
-                  samples_.size());
+                  Percentile(1.0), samples_.size());
     return buf;
   }
 

@@ -1,16 +1,13 @@
-// Heap-allocation profile of the shelf workload under the three data-plane
-// configurations: plain strings + full window rescans (the PR-4 behavior),
-// interned strings + rescans, and interned strings + incremental window
-// evaluation. A global operator-new hook counts allocations and bytes per
-// tick; the headline regression number is the plain-vs-incremental
-// allocations-per-tick ratio, written to BENCH_memory.json.
+// Heap-allocation profile of the shelf workload on the data plane (interned
+// strings, pooled tuple buffers, incremental window evaluation). A global
+// operator-new hook counts allocations and bytes per steady-state tick; both
+// figures are written to BENCH_memory.json, whose allocs_per_tick CI gates.
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
@@ -18,10 +15,7 @@
 #include "common/time.h"
 #include "core/processor.h"
 #include "core/toolkit.h"
-#include "cql/incremental_exec.h"
 #include "sim/reading.h"
-#include "stream/arena.h"
-#include "stream/symbol_table.h"
 #include "stream/tuple.h"
 
 // --- Global allocation counters -------------------------------------------
@@ -78,19 +72,12 @@ namespace {
 constexpr int kWarmupTicks = 100;
 constexpr int kMeasuredTicks = 1000;
 
-struct ModeResult {
-  std::string name;
+struct MemoryResult {
   double allocs_per_tick = 0;
   double bytes_per_tick = 0;
-  uint64_t emitted = 0;  // Total output tuples — cross-mode sanity check.
 };
 
-StatusOr<ModeResult> RunMode(const std::string& name, bool interned,
-                             bool incremental, bool pooled) {
-  stream::SetStringInterningEnabled(interned);
-  cql::SetIncrementalEvalForBenchmarks(incremental);
-  stream::TupleArena::SetPoolingEnabled(pooled);
-
+StatusOr<MemoryResult> Measure() {
   core::EspProcessor processor;
   ESP_RETURN_IF_ERROR(processor.AddProximityGroup(
       {"pg0", "rfid", core::SpatialGranule{"shelf_0"}, {"reader_0"}}));
@@ -106,8 +93,7 @@ StatusOr<ModeResult> RunMode(const std::string& name, bool interned,
   ESP_RETURN_IF_ERROR(processor.AddPipeline(std::move(pipeline)));
   ESP_RETURN_IF_ERROR(processor.Start());
 
-  ModeResult result;
-  result.name = name;
+  MemoryResult result;
   Rng rng(13);
   stream::SchemaRef schema = sim::RfidReadingSchema();
   int64_t tick = 0;
@@ -126,11 +112,7 @@ StatusOr<ModeResult> RunMode(const std::string& name, bool interned,
         }
       }
     }
-    ESP_ASSIGN_OR_RETURN(core::EspProcessor::TickResult out,
-                         processor.Tick(now));
-    for (const auto& [type, relation] : out.per_type) {
-      result.emitted += relation.size();
-    }
+    ESP_RETURN_IF_ERROR(processor.Tick(now).status());
     ++tick;
     return Status::OK();
   };
@@ -139,7 +121,6 @@ StatusOr<ModeResult> RunMode(const std::string& name, bool interned,
 
   const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   const uint64_t bytes_before = g_bytes.load(std::memory_order_relaxed);
-  result.emitted = 0;
   for (int i = 0; i < kMeasuredTicks; ++i) ESP_RETURN_IF_ERROR(run_tick());
   result.allocs_per_tick =
       static_cast<double>(g_allocs.load(std::memory_order_relaxed) -
@@ -153,61 +134,18 @@ StatusOr<ModeResult> RunMode(const std::string& name, bool interned,
 }
 
 int Run(const std::string& out_dir) {
-  std::vector<ModeResult> results;
-  // The ablation ladder: `plain_rescan` turns off everything this
-  // optimisation pass added (symbol interning, arena pooling, incremental
-  // evaluation) and is the pre-optimisation data plane; the other modes
-  // layer the optimisations back on.
-  const struct {
-    const char* name;
-    bool interned;
-    bool incremental;
-    bool pooled;
-  } modes[] = {
-      {"plain_rescan", false, false, false},
-      {"interned_rescan", true, false, true},
-      {"interned_incremental", true, true, true},
-  };
-  for (const auto& mode : modes) {
-    StatusOr<ModeResult> result =
-        RunMode(mode.name, mode.interned, mode.incremental, mode.pooled);
-    // Restore defaults before anything else runs.
-    stream::SetStringInterningEnabled(true);
-    cql::SetIncrementalEvalForBenchmarks(true);
-    stream::TupleArena::SetPoolingEnabled(true);
-    if (!result.ok()) {
-      std::fprintf(stderr, "mode %s failed: %s\n", mode.name,
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    results.push_back(std::move(*result));
+  StatusOr<MemoryResult> result = Measure();
+  if (!result.ok()) {
+    std::fprintf(stderr, "memory bench failed: %s\n",
+                 result.status().ToString().c_str());
+    return 1;
   }
-
-  for (size_t i = 1; i < results.size(); ++i) {
-    if (results[i].emitted != results[0].emitted) {
-      std::fprintf(stderr,
-                   "output divergence: %s emitted %llu tuples, %s %llu\n",
-                   results[i].name.c_str(),
-                   static_cast<unsigned long long>(results[i].emitted),
-                   results[0].name.c_str(),
-                   static_cast<unsigned long long>(results[0].emitted));
-      return 1;
-    }
-  }
-
-  const double ratio = results.back().allocs_per_tick > 0
-                           ? results.front().allocs_per_tick /
-                                 results.back().allocs_per_tick
-                           : 0.0;
 
   std::printf("=== Heap allocations per shelf tick (%d measured ticks) ===\n\n",
               kMeasuredTicks);
-  std::printf("%-24s %16s %16s\n", "mode", "allocs/tick", "bytes/tick");
-  for (const ModeResult& r : results) {
-    std::printf("%-24s %16.1f %16.0f\n", r.name.c_str(), r.allocs_per_tick,
-                r.bytes_per_tick);
-  }
-  std::printf("\nplain_rescan / interned_incremental allocs: %.1fx\n", ratio);
+  std::printf("%16s %16s\n", "allocs/tick", "bytes/tick");
+  std::printf("%16.1f %16.0f\n", result->allocs_per_tick,
+              result->bytes_per_tick);
 
   const std::string out_path = OutputPath(out_dir, "BENCH_memory.json");
   FILE* f = std::fopen(out_path.c_str(), "w");
@@ -215,21 +153,12 @@ int Run(const std::string& out_dir) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"memory\",\n  \"build\": %s,\n"
-               "  \"measured_ticks\": %d,\n",
-               BuildFlagsJson().c_str(), kMeasuredTicks);
-  std::fprintf(f, "  \"modes\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ModeResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"allocs_per_tick\": %.2f, "
-                 "\"bytes_per_tick\": %.0f, \"emitted\": %llu}%s\n",
-                 r.name.c_str(), r.allocs_per_tick, r.bytes_per_tick,
-                 static_cast<unsigned long long>(r.emitted),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"alloc_reduction_plain_vs_incremental\": %.2f\n}\n",
-               ratio);
+  std::fprintf(f,
+               "{\n  \"bench\": \"memory\",\n  \"build\": %s,\n"
+               "  \"measured_ticks\": %d,\n  \"allocs_per_tick\": %.2f,\n"
+               "  \"bytes_per_tick\": %.0f\n}\n",
+               BuildFlagsJson().c_str(), kMeasuredTicks,
+               result->allocs_per_tick, result->bytes_per_tick);
   std::fclose(f);
   std::printf("Written to %s\n", out_path.c_str());
   return 0;

@@ -17,7 +17,6 @@
 #include "core/toolkit.h"
 #include "cql/continuous_query.h"
 #include "cql/evaluator.h"
-#include "cql/incremental_exec.h"
 #include "cql/parser.h"
 #include "sim/reading.h"
 #include "stream/ops.h"
@@ -236,25 +235,20 @@ void BM_ProcessorShelfTickRowStore(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcessorShelfTickRowStore);
 
-// --- Incremental vs rescan window evaluation ------------------------------
-// The sliding-window grouped aggregate (the paper's Query 2 shape) takes
-// the incremental delta-maintenance path by default; the legacy full-window
-// rescan stays reachable through cql::SetIncrementalEvalForBenchmarks(false).
-// Arg is the number of distinct group keys; the window holds ~25 polls of
-// each key, so rescan cost grows with both while incremental emit cost
-// grows only with live groups.
+// --- Incremental window evaluation ----------------------------------------
+// The sliding-window grouped aggregate (the paper's Query 2 shape), which
+// the incremental engine admits and delta-maintains. Arg is the number of
+// distinct group keys; the window holds ~25 polls of each key, but the
+// emit cost grows only with live groups.
 
-void RunWindowAggBench(benchmark::State& state, bool incremental,
-                       bool columnar) {
+void RunWindowAggBench(benchmark::State& state, bool columnar) {
   const int64_t tags = state.range(0);
   cql::SchemaCatalog catalog;
   catalog.AddStream("smooth_input", sim::RfidReadingSchema());
-  cql::SetIncrementalEvalForBenchmarks(incremental);
   auto query = cql::ContinuousQuery::Create(
       "SELECT tag_id, count(*) AS reads FROM smooth_input "
       "[Range By '5 sec'] GROUP BY tag_id",
       catalog);
-  cql::SetIncrementalEvalForBenchmarks(true);
   if (!query.ok()) {
     state.SkipWithError(query.status().ToString().c_str());
     return;
@@ -289,24 +283,14 @@ void RunWindowAggBench(benchmark::State& state, bool incremental,
 }
 
 void BM_WindowAggIncremental(benchmark::State& state) {
-  RunWindowAggBench(state, /*incremental=*/true, /*columnar=*/true);
+  RunWindowAggBench(state, /*columnar=*/true);
 }
 BENCHMARK(BM_WindowAggIncremental)->Arg(10)->Arg(100);
 
 void BM_WindowAggIncrementalRowStore(benchmark::State& state) {
-  RunWindowAggBench(state, /*incremental=*/true, /*columnar=*/false);
+  RunWindowAggBench(state, /*columnar=*/false);
 }
 BENCHMARK(BM_WindowAggIncrementalRowStore)->Arg(10)->Arg(100);
-
-void BM_WindowAggRescan(benchmark::State& state) {
-  RunWindowAggBench(state, /*incremental=*/false, /*columnar=*/true);
-}
-BENCHMARK(BM_WindowAggRescan)->Arg(10)->Arg(100);
-
-void BM_WindowAggRescanRowStore(benchmark::State& state) {
-  RunWindowAggBench(state, /*incremental=*/false, /*columnar=*/false);
-}
-BENCHMARK(BM_WindowAggRescanRowStore)->Arg(10)->Arg(100);
 
 // --- Columnar window aggregation ------------------------------------------
 // Scalar aggregates with a numeric predicate over a sliding window — the
@@ -365,11 +349,10 @@ void BM_ColumnarScalarAggRowStore(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnarScalarAggRowStore)->Arg(64)->Arg(512);
 
-// --- Compiled vs interpretive expression evaluation -----------------------
+// --- Compiled expression evaluation ---------------------------------------
 // The evaluator binds column references to row slots and folds constants
-// once per execution (the BoundExpr path); these benchmarks pin its win
-// over the per-tuple ResolveColumn walk, which stays reachable through
-// cql::SetExprCompilationForBenchmarks(false).
+// once per execution (the BoundExpr path); these benchmarks time one-shot
+// projection and grouped queries over a growing unbounded history.
 
 cql::Catalog BoundExprCatalog(int64_t rows) {
   SchemaRef schema = stream::MakeSchema({{"tag_id", DataType::kString},
@@ -389,8 +372,7 @@ cql::Catalog BoundExprCatalog(int64_t rows) {
   return catalog;
 }
 
-void RunExprPathBench(benchmark::State& state, const std::string& text,
-                      bool compiled) {
+void RunExprPathBench(benchmark::State& state, const std::string& text) {
   const int64_t rows = state.range(0);
   const cql::Catalog catalog = BoundExprCatalog(rows);
   auto ast = cql::ParseQuery(text);
@@ -398,13 +380,11 @@ void RunExprPathBench(benchmark::State& state, const std::string& text,
     state.SkipWithError(ast.status().ToString().c_str());
     return;
   }
-  cql::SetExprCompilationForBenchmarks(compiled);
   for (auto _ : state) {
     auto result =
         cql::ExecuteQuery(**ast, catalog, Timestamp::Seconds(rows));
     benchmark::DoNotOptimize(result);
   }
-  cql::SetExprCompilationForBenchmarks(true);
   state.SetItemsProcessed(state.iterations() * rows);
 }
 
@@ -413,28 +393,18 @@ const char kProjectionQuery[] =
     "[Unbounded] WHERE reads >= 1 AND rssi < 0.0 - 35.0";
 
 void BM_CqlProjectionCompiled(benchmark::State& state) {
-  RunExprPathBench(state, kProjectionQuery, /*compiled=*/true);
+  RunExprPathBench(state, kProjectionQuery);
 }
 BENCHMARK(BM_CqlProjectionCompiled)->Arg(256)->Arg(4096);
-
-void BM_CqlProjectionInterpretive(benchmark::State& state) {
-  RunExprPathBench(state, kProjectionQuery, /*compiled=*/false);
-}
-BENCHMARK(BM_CqlProjectionInterpretive)->Arg(256)->Arg(4096);
 
 const char kGroupedQuery[] =
     "SELECT tag_id, count(*) AS n, avg(rssi) AS level FROM readings "
     "[Unbounded] WHERE reads >= 1 GROUP BY tag_id HAVING count(*) >= 2";
 
 void BM_CqlGroupedCompiled(benchmark::State& state) {
-  RunExprPathBench(state, kGroupedQuery, /*compiled=*/true);
+  RunExprPathBench(state, kGroupedQuery);
 }
 BENCHMARK(BM_CqlGroupedCompiled)->Arg(256)->Arg(4096);
-
-void BM_CqlGroupedInterpretive(benchmark::State& state) {
-  RunExprPathBench(state, kGroupedQuery, /*compiled=*/false);
-}
-BENCHMARK(BM_CqlGroupedInterpretive)->Arg(256)->Arg(4096);
 
 }  // namespace
 }  // namespace esp

@@ -1,7 +1,6 @@
 #include "cql/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
@@ -135,8 +134,6 @@ StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
                                    const Catalog& catalog, Timestamp now,
                                    const EvalContext* outer,
                                    QueryExecCache* cache);
-
-std::atomic<bool> g_expr_compilation{true};
 
 /// Cap on the persistent group-by index kept in a plan's scratch.
 constexpr size_t kMaxPersistentGroups = 4096;
@@ -1026,11 +1023,8 @@ StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
                                    const EvalContext* outer,
                                    QueryExecCache* cache) {
   stream::TupleArena& arena = stream::TupleArena::Local();
-  const bool compile_exprs =
-      g_expr_compilation.load(std::memory_order_relaxed);
-
   internal::PreparedQuery* prep =
-      (cache != nullptr && compile_exprs) ? cache->Find(&query) : nullptr;
+      cache != nullptr ? cache->Find(&query) : nullptr;
 
   // Execution-time containers live in the plan's scratch so their buffers
   // (row vectors, group slots, aggregator instances) persist across ticks.
@@ -1140,21 +1134,21 @@ StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
   if (prep == nullptr) {
     if (output_schema == nullptr) ESP_RETURN_IF_ERROR(infer_schema());
     local.output_schema = output_schema;
-    const auto compile = [&](const Expr& expr) {
-      return compile_exprs ? internal::CompileExpr(expr, from)
-                           : internal::MakeFallback(expr);
-    };
-    if (query.where != nullptr) local.where = compile(*query.where);
+    if (query.where != nullptr) {
+      local.where = internal::CompileExpr(*query.where, from);
+    }
     local.items.reserve(query.items.size());
     for (const SelectItem& item : query.items) {
-      local.items.push_back(compile(*item.expr));
+      local.items.push_back(internal::CompileExpr(*item.expr, from));
     }
     if (internal::QueryUsesAggregation(query)) {
       local.group_keys.reserve(query.group_by.size());
       for (const ExprPtr& expr : query.group_by) {
-        local.group_keys.push_back(compile(*expr));
+        local.group_keys.push_back(internal::CompileExpr(*expr, from));
       }
-      if (query.having != nullptr) local.having = compile(*query.having);
+      if (query.having != nullptr) {
+        local.having = internal::CompileExpr(*query.having, from);
+      }
     } else {
       // Plan which items may move their value straight out of the row: a
       // top-level slot read whose slot no other part of the projection (no
@@ -1182,7 +1176,7 @@ StatusOr<Relation> ExecuteInternal(const SelectQuery& query,
         }
       }
     }
-    if (cache != nullptr && compile_exprs && cacheable_from) {
+    if (cache != nullptr && cacheable_from) {
       local.from = from;
       // Keep the warmed scratch: `scratch` references the ExecScratch object
       // behind the unique_ptr, which survives both moves below, so every
@@ -1470,10 +1464,6 @@ StatusOr<Relation> ExecuteQuery(const SelectQuery& query,
                                 const Catalog& catalog, Timestamp now,
                                 QueryExecCache* cache) {
   return ExecuteInternal(query, catalog, now, nullptr, cache);
-}
-
-void SetExprCompilationForBenchmarks(bool enabled) {
-  g_expr_compilation.store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace esp::cql

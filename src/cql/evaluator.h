@@ -89,13 +89,6 @@ StatusOr<stream::Relation> ExecuteQuery(const SelectQuery& query,
                                         const Catalog& catalog, Timestamp now,
                                         QueryExecCache* cache);
 
-/// \brief Benchmark hook: toggles the compiled expression path (column
-/// references bound to row slots once per execution, constants folded once
-/// per query). Enabled by default; disabling it routes every expression
-/// through the interpretive per-tuple walk so the two paths can be compared.
-/// Not thread-safe with respect to in-flight queries.
-void SetExprCompilationForBenchmarks(bool enabled);
-
 }  // namespace esp::cql
 
 #endif  // ESP_CQL_EVALUATOR_H_

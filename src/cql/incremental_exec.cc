@@ -1,7 +1,6 @@
 #include "cql/incremental_exec.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 
@@ -23,8 +22,6 @@ using stream::Value;
 using stream::WindowKind;
 
 namespace {
-
-std::atomic<bool> g_incremental_eval{true};
 
 /// Largest magnitude for which every partial double sum in the legacy
 /// order-dependent fold is exactly representable: if the running sum of
@@ -91,18 +88,9 @@ bool IdenticalForEmit(const Value& a, const Value& b) {
 
 }  // namespace
 
-void SetIncrementalEvalForBenchmarks(bool enabled) {
-  g_incremental_eval.store(enabled, std::memory_order_relaxed);
-}
-
-bool IncrementalEvalEnabled() {
-  return g_incremental_eval.load(std::memory_order_relaxed);
-}
-
 std::unique_ptr<IncrementalGroupedQuery> IncrementalGroupedQuery::TryPlan(
     const SelectQuery& query, const std::string& stream_name,
     SchemaRef input_schema, SchemaRef output_schema) {
-  if (!IncrementalEvalEnabled()) return nullptr;
   if (input_schema == nullptr || output_schema == nullptr) return nullptr;
 
   // Shape: one stream input, RANGE/UNBOUNDED window, non-empty GROUP BY.

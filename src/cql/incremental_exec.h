@@ -154,12 +154,6 @@ class IncrementalGroupedQuery {
   internal::Row column_row_;  // Reused per-row materialization buffer.
 };
 
-/// \brief Benchmark/test hook: toggles incremental window evaluation for
-/// queries created afterwards (construction-time decision; existing query
-/// instances are unaffected). Enabled by default.
-void SetIncrementalEvalForBenchmarks(bool enabled);
-bool IncrementalEvalEnabled();
-
 }  // namespace esp::cql
 
 #endif  // ESP_CQL_INCREMENTAL_EXEC_H_

@@ -1,24 +1,10 @@
 #include "stream/arena.h"
 
-#include <atomic>
-
 namespace esp::stream {
-
-namespace {
-std::atomic<bool> g_pooling{true};
-}  // namespace
 
 TupleArena& TupleArena::Local() {
   thread_local TupleArena arena;
   return arena;
-}
-
-void TupleArena::SetPoolingEnabled(bool enabled) {
-  g_pooling.store(enabled, std::memory_order_relaxed);
-}
-
-bool TupleArena::PoolingEnabled() {
-  return g_pooling.load(std::memory_order_relaxed);
 }
 
 }  // namespace esp::stream

@@ -1,7 +1,6 @@
 #ifndef ESP_STREAM_ARENA_H_
 #define ESP_STREAM_ARENA_H_
 
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -24,45 +23,41 @@ namespace esp::stream {
 /// the pool. Each thread has its own arena (Local()), so shard workers never
 /// contend; releasing a vector on a different thread than the one that
 /// allocated it is safe (it just migrates the buffer).
+///
+/// AddressSanitizer builds compile the pool out (kPooling): recycled buffers
+/// would hide a use-after-release from ASan, so there Acquire allocates
+/// fresh and Release/Recycle free at once.
 class TupleArena {
  public:
   /// The calling thread's arena.
   static TupleArena& Local();
 
-  /// Globally enables/disables buffer recycling. When disabled, Acquire
-  /// always allocates fresh and Release frees normally. Useful for memory
-  /// ablation benchmarks and for debugging under sanitizers (recycled
-  /// buffers hide use-after-free from ASan). Enabled by default.
-  static void SetPoolingEnabled(bool enabled);
-  static bool PoolingEnabled();
-
   /// Returns an empty vector with at least `reserve` capacity, reusing a
   /// pooled backing store when one is available.
   std::vector<Value> Acquire(size_t reserve) {
-    if (!pool_.empty() && PoolingEnabled()) {
+    if (kPooling && !pool_.empty()) {
       std::vector<Value> v = std::move(pool_.back());
       pool_.pop_back();
-      ++hits_;
       if (v.capacity() < reserve) v.reserve(reserve);
       return v;
     }
-    ++misses_;
     std::vector<Value> v;
     v.reserve(reserve);
     return v;
   }
 
-  /// Returns a vector's backing store to the pool. The elements are
-  /// destroyed now (clear()); the capacity is kept. Oversized buffers and
-  /// overflow beyond the pool cap are simply freed.
+  /// Takes a vector's backing store (`v` is left empty) and returns it to
+  /// the pool. The elements are destroyed now; the capacity is kept.
+  /// Oversized buffers and overflow beyond the pool cap are freed.
   void Release(std::vector<Value>&& v) {
-    if (!PoolingEnabled() || v.capacity() == 0 ||
-        v.capacity() > kMaxPooledCapacity ||
+    std::vector<Value> owned = std::move(v);
+    if (!kPooling || owned.capacity() == 0 ||
+        owned.capacity() > kMaxPooledCapacity ||
         pool_.size() >= kMaxPooledVectors) {
-      return;  // Let the vector free normally.
+      return;  // `owned` frees normally.
     }
-    v.clear();
-    pool_.push_back(std::move(v));
+    owned.clear();
+    pool_.push_back(std::move(owned));
   }
 
   /// Returns an empty tuple vector, reusing a pooled backing store when one
@@ -70,26 +65,26 @@ class TupleArena {
   /// pairs with Release(); relations built on these vectors stop allocating
   /// their tuple arrays once the pool warms up.
   std::vector<Tuple> AcquireTuples() {
-    if (!tuple_pool_.empty() && PoolingEnabled()) {
+    if (kPooling && !tuple_pool_.empty()) {
       std::vector<Tuple> v = std::move(tuple_pool_.back());
       tuple_pool_.pop_back();
-      ++hits_;
       return v;
     }
-    ++misses_;
     return {};
   }
 
-  /// Returns a tuple vector's backing store to the pool. Elements are
-  /// destroyed now; callers should Recycle() value stores first.
+  /// Takes a tuple vector's backing store (`v` is left empty) and returns it
+  /// to the pool. Elements are destroyed now; callers should Recycle() value
+  /// stores first.
   void ReleaseTuples(std::vector<Tuple>&& v) {
-    if (!PoolingEnabled() || v.capacity() == 0 ||
-        v.capacity() > kMaxPooledCapacity ||
+    std::vector<Tuple> owned = std::move(v);
+    if (!kPooling || owned.capacity() == 0 ||
+        owned.capacity() > kMaxPooledCapacity ||
         tuple_pool_.size() >= kMaxPooledVectors) {
-      return;  // Let the vector free normally.
+      return;  // `owned` frees normally.
     }
-    v.clear();
-    tuple_pool_.push_back(std::move(v));
+    owned.clear();
+    tuple_pool_.push_back(std::move(owned));
   }
 
   /// Releases the backing store of every tuple in `relation` (which is left
@@ -100,21 +95,25 @@ class TupleArena {
       Release(std::move(tuple.mutable_values()));
     }
     ReleaseTuples(std::move(relation.mutable_tuples()));
-    relation.mutable_tuples().clear();
   }
 
-  size_t pooled() const { return pool_.size(); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
  private:
+#if defined(__SANITIZE_ADDRESS__)
+  static constexpr bool kPooling = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+  static constexpr bool kPooling = false;
+#else
+  static constexpr bool kPooling = true;
+#endif
+#else
+  static constexpr bool kPooling = true;
+#endif
   static constexpr size_t kMaxPooledVectors = 8192;
   static constexpr size_t kMaxPooledCapacity = 64;  // Values per vector.
 
   std::vector<std::vector<Value>> pool_;
   std::vector<std::vector<Tuple>> tuple_pool_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace esp::stream

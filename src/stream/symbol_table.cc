@@ -28,16 +28,4 @@ std::optional<uint32_t> SymbolTable::TryIntern(std::string_view text) {
   return id;
 }
 
-namespace {
-std::atomic<bool> g_interning_enabled{true};
-}  // namespace
-
-void SetStringInterningEnabled(bool enabled) {
-  g_interning_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool StringInterningEnabled() {
-  return g_interning_enabled.load(std::memory_order_relaxed);
-}
-
 }  // namespace esp::stream

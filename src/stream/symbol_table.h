@@ -79,14 +79,6 @@ class SymbolTable {
   std::unordered_map<std::string_view, uint32_t> index_;  // Guarded by mu_.
 };
 
-/// \brief Toggles whether Value::Interned() actually interns (default on).
-/// When disabled it returns plain string values, which lets benchmarks and
-/// equivalence tests compare the two representations. Construction-time
-/// only: existing interned values are unaffected. Not thread-safe with
-/// respect to in-flight ingest.
-void SetStringInterningEnabled(bool enabled);
-bool StringInterningEnabled();
-
 }  // namespace esp::stream
 
 #endif  // ESP_STREAM_SYMBOL_TABLE_H_

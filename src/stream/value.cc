@@ -2,16 +2,15 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "common/string_util.h"
 
 namespace esp::stream {
 
 Value Value::Interned(std::string_view s) {
-  if (StringInterningEnabled()) {
-    if (std::optional<uint32_t> id = SymbolTable::Global().TryIntern(s)) {
-      return Value(Storage(Symbol{*id}));
-    }
+  if (std::optional<uint32_t> id = SymbolTable::Global().TryIntern(s)) {
+    return Value(Storage(Symbol{*id}));
   }
   return Value::String(std::string(s));
 }
@@ -168,6 +167,8 @@ size_t Value::Hash() const {
 namespace {
 
 /// Shared implementation for the four basic arithmetic operators.
+/// `int_op(x, y, &result)` returns true when the int64 result overflows,
+/// which is an error rather than a wrapped (undefined) value.
 template <typename IntOp, typename DoubleOp>
 StatusOr<Value> Arith(const Value& a, const Value& b, IntOp int_op,
                       DoubleOp double_op, bool is_division) {
@@ -181,7 +182,11 @@ StatusOr<Value> Arith(const Value& a, const Value& b, IntOp int_op,
     if (is_division && b.int64_value() == 0) {
       return Status::InvalidArgument("division by zero");
     }
-    return Value::Int64(int_op(a.int64_value(), b.int64_value()));
+    int64_t result = 0;
+    if (int_op(a.int64_value(), b.int64_value(), &result)) {
+      return Status::InvalidArgument("integer overflow");
+    }
+    return Value::Int64(result);
   }
   const double lhs = a.AsDouble().value();
   const double rhs = b.AsDouble().value();
@@ -195,25 +200,39 @@ StatusOr<Value> Arith(const Value& a, const Value& b, IntOp int_op,
 
 StatusOr<Value> Add(const Value& a, const Value& b) {
   return Arith(
-      a, b, [](int64_t x, int64_t y) { return x + y; },
+      a, b,
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_add_overflow(x, y, r);
+      },
       [](double x, double y) { return x + y; }, /*is_division=*/false);
 }
 
 StatusOr<Value> Subtract(const Value& a, const Value& b) {
   return Arith(
-      a, b, [](int64_t x, int64_t y) { return x - y; },
+      a, b,
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_sub_overflow(x, y, r);
+      },
       [](double x, double y) { return x - y; }, /*is_division=*/false);
 }
 
 StatusOr<Value> Multiply(const Value& a, const Value& b) {
   return Arith(
-      a, b, [](int64_t x, int64_t y) { return x * y; },
+      a, b,
+      [](int64_t x, int64_t y, int64_t* r) {
+        return __builtin_mul_overflow(x, y, r);
+      },
       [](double x, double y) { return x * y; }, /*is_division=*/false);
 }
 
 StatusOr<Value> Divide(const Value& a, const Value& b) {
   return Arith(
-      a, b, [](int64_t x, int64_t y) { return x / y; },
+      a, b,
+      [](int64_t x, int64_t y, int64_t* r) {
+        if (x == std::numeric_limits<int64_t>::min() && y == -1) return true;
+        *r = x / y;
+        return false;
+      },
       [](double x, double y) { return x / y; }, /*is_division=*/true);
 }
 
@@ -225,12 +244,19 @@ StatusOr<Value> Modulo(const Value& a, const Value& b) {
   if (b.int64_value() == 0) {
     return Status::InvalidArgument("modulo by zero");
   }
+  // x % -1 is 0 for every x; computing it would overflow for INT64_MIN.
+  if (b.int64_value() == -1) return Value::Int64(0);
   return Value::Int64(a.int64_value() % b.int64_value());
 }
 
 StatusOr<Value> Negate(const Value& a) {
   if (a.is_null()) return Value::Null();
-  if (a.type() == DataType::kInt64) return Value::Int64(-a.int64_value());
+  if (a.type() == DataType::kInt64) {
+    if (a.int64_value() == std::numeric_limits<int64_t>::min()) {
+      return Status::InvalidArgument("integer overflow");
+    }
+    return Value::Int64(-a.int64_value());
+  }
   if (a.type() == DataType::kDouble) return Value::Double(-a.double_value());
   return Status::TypeError("negation requires a number");
 }

@@ -36,8 +36,7 @@ class Value {
   /// An interned string value: reports DataType::kString and behaves exactly
   /// like String(s) everywhere (equality, ordering, hashing, serialization),
   /// but copies as a 4-byte handle and compares by id against other interned
-  /// values. Falls back to a plain string when interning is disabled (see
-  /// SetStringInterningEnabled) or the table is full.
+  /// values. Falls back to a plain string when the symbol table is full.
   static Value Interned(std::string_view s);
   static Value InternedSymbol(Symbol sym) { return Value(Storage(sym)); }
 

@@ -4,8 +4,7 @@
 // aggregate results over NaN, negative zero, nulls, huge integers past the
 // exact-double range, and columns demoted by type drift. These tests drive
 // random streams through matched query instances and compare fingerprints,
-// then cross the toggle with the rest of the data-plane matrix (interning,
-// pooling, incremental evaluation, sharding) at the processor level, and
+// then cross the toggle with sharding at the processor level, and
 // checkpoint/restore mid-window with the mirror warm.
 
 #include <gtest/gtest.h>
@@ -22,13 +21,10 @@
 #include "core/sharded_processor.h"
 #include "core/toolkit.h"
 #include "cql/continuous_query.h"
-#include "cql/incremental_exec.h"
 #include "sim/reading.h"
-#include "stream/arena.h"
 #include "stream/column.h"
 #include "stream/serialize.h"
 #include "stream/simd_kernels.h"
-#include "stream/symbol_table.h"
 
 namespace esp::cql {
 namespace {
@@ -296,9 +292,8 @@ std::string Fingerprint(const core::TickResult& result) {
 }
 
 TEST(ColumnarEquivalenceTest, ProcessorToggleMatrixPreservesBitwiseOutputs) {
-  // Columnar execution joins the existing data-plane matrix: every
-  // combination of columnar x interning x pooling x incremental, single and
-  // sharded, must reproduce the default configuration byte for byte.
+  // Columnar execution on or off, single and sharded, must reproduce the
+  // default configuration byte for byte.
   constexpr int kShelves = 4;
   constexpr int kTicks = 25;
 
@@ -319,46 +314,33 @@ TEST(ColumnarEquivalenceTest, ProcessorToggleMatrixPreservesBitwiseOutputs) {
   }
 
   for (const bool columnar : {false, true}) {
-    for (const bool interned : {false, true}) {
-      for (const bool incremental : {false, true}) {
-        for (const bool pooled : {false, true}) {
-          for (const bool sharded : {false, true}) {
-            stream::SetColumnarEnabled(columnar);
-            stream::SetStringInterningEnabled(interned);
-            cql::SetIncrementalEvalForBenchmarks(incremental);
-            stream::TupleArena::SetPoolingEnabled(pooled);
+    for (const bool sharded : {false, true}) {
+      stream::SetColumnarEnabled(columnar);
 
-            auto run = [&](auto& engine) {
-              ASSERT_TRUE(ConfigureShelves(engine, kShelves).ok());
-              ASSERT_TRUE(engine.Start().ok());
-              Rng rng(7);
-              for (int t = 0; t < kTicks; ++t) {
-                for (const Tuple& reading : TickReadings(kShelves, t, rng)) {
-                  ASSERT_TRUE(engine.Push("rfid", reading).ok());
-                }
-                auto result = engine.Tick(Timestamp::Seconds(t));
-                ASSERT_TRUE(result.ok()) << result.status();
-                ASSERT_EQ(baseline[t], Fingerprint(*result))
-                    << "columnar=" << columnar << " interned=" << interned
-                    << " incremental=" << incremental << " pooled=" << pooled
-                    << " sharded=" << sharded << " tick=" << t;
-              }
-            };
-            if (sharded) {
-              core::ShardedEspProcessor engine({.num_shards = 3});
-              run(engine);
-            } else {
-              core::EspProcessor engine;
-              run(engine);
-            }
-
-            stream::SetColumnarEnabled(true);
-            stream::SetStringInterningEnabled(true);
-            cql::SetIncrementalEvalForBenchmarks(true);
-            stream::TupleArena::SetPoolingEnabled(true);
+      auto run = [&](auto& engine) {
+        ASSERT_TRUE(ConfigureShelves(engine, kShelves).ok());
+        ASSERT_TRUE(engine.Start().ok());
+        Rng rng(7);
+        for (int t = 0; t < kTicks; ++t) {
+          for (const Tuple& reading : TickReadings(kShelves, t, rng)) {
+            ASSERT_TRUE(engine.Push("rfid", reading).ok());
           }
+          auto result = engine.Tick(Timestamp::Seconds(t));
+          ASSERT_TRUE(result.ok()) << result.status();
+          ASSERT_EQ(baseline[t], Fingerprint(*result))
+              << "columnar=" << columnar << " sharded=" << sharded
+              << " tick=" << t;
         }
+      };
+      if (sharded) {
+        core::ShardedEspProcessor engine({.num_shards = 3});
+        run(engine);
+      } else {
+        core::EspProcessor engine;
+        run(engine);
       }
+
+      stream::SetColumnarEnabled(true);
     }
   }
 }

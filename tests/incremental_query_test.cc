@@ -8,8 +8,9 @@
 #include "common/binio.h"
 #include "common/rng.h"
 #include "cql/continuous_query.h"
+#include "cql/evaluator.h"
+#include "cql/parser.h"
 #include "stream/serialize.h"
-#include "stream/symbol_table.h"
 #include "stream/tuple.h"
 
 namespace esp::cql {
@@ -39,14 +40,30 @@ SchemaCatalog MakeCatalog() {
   return catalog;
 }
 
-std::unique_ptr<ContinuousQuery> MakeQuery(const std::string& text,
-                                           bool incremental) {
-  SetIncrementalEvalForBenchmarks(incremental);
+std::unique_ptr<ContinuousQuery> MakeQuery(const std::string& text) {
   auto cq = ContinuousQuery::Create(text, MakeCatalog());
-  SetIncrementalEvalForBenchmarks(true);
   EXPECT_TRUE(cq.ok()) << cq.status();
   return cq.ok() ? std::move(*cq) : nullptr;
 }
+
+/// The rescan reference: a one-shot ExecuteQuery over the stream's whole
+/// history, with no prepared plan, window buffer or incremental engine. The
+/// evaluator applies the query's [Range] window itself.
+struct Rescan {
+  explicit Rescan(const std::string& text) {
+    auto parsed = ParseQuery(text);
+    if (parsed.ok()) query = std::move(*parsed);
+  }
+
+  StatusOr<Relation> Evaluate(Timestamp now) const {
+    Catalog catalog;
+    catalog.AddStreamView("readings", &history);
+    return ExecuteQuery(*query, catalog, now);
+  }
+
+  std::unique_ptr<SelectQuery> query;
+  Relation history{ReadingSchema()};
+};
 
 /// Serializes a relation through the checkpoint codec — the strongest
 /// equality we can assert: byte-for-byte identical persisted form.
@@ -85,19 +102,19 @@ struct Driver {
 };
 
 TEST(IncrementalQueryTest, RandomStreamMatchesRescanBitwise) {
-  auto fast = MakeQuery(kGroupedQuery, /*incremental=*/true);
-  auto slow = MakeQuery(kGroupedQuery, /*incremental=*/false);
+  auto fast = MakeQuery(kGroupedQuery);
+  Rescan slow(kGroupedQuery);
   ASSERT_NE(fast, nullptr);
-  ASSERT_NE(slow, nullptr);
+  ASSERT_NE(slow.query, nullptr);
 
   Driver driver(17);
   for (int tick = 0; tick < 400; ++tick) {
     for (const Tuple& tuple : driver.NextBurst()) {
       ASSERT_TRUE(fast->Push("readings", tuple).ok());
-      ASSERT_TRUE(slow->Push("readings", tuple).ok());
+      slow.history.Add(tuple);
     }
     auto got = fast->Evaluate(driver.now());
-    auto want = slow->Evaluate(driver.now());
+    auto want = slow.Evaluate(driver.now());
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_TRUE(want.ok()) << want.status();
     ASSERT_EQ(Bytes(*got), Bytes(*want)) << "tick " << tick;
@@ -107,8 +124,8 @@ TEST(IncrementalQueryTest, RandomStreamMatchesRescanBitwise) {
 TEST(IncrementalQueryTest, InternedAndPlainInputsAgreeBitwise) {
   // Interning is an in-memory representation choice; the persisted output
   // bytes must not depend on it.
-  auto interned_q = MakeQuery(kGroupedQuery, /*incremental=*/true);
-  auto plain_q = MakeQuery(kGroupedQuery, /*incremental=*/true);
+  auto interned_q = MakeQuery(kGroupedQuery);
+  auto plain_q = MakeQuery(kGroupedQuery);
   ASSERT_NE(interned_q, nullptr);
   ASSERT_NE(plain_q, nullptr);
 
@@ -131,10 +148,10 @@ TEST(IncrementalQueryTest, InternedAndPlainInputsAgreeBitwise) {
 }
 
 TEST(IncrementalQueryTest, CheckpointRestoreMidWindowMatchesRescan) {
-  auto fast = MakeQuery(kGroupedQuery, /*incremental=*/true);
-  auto slow = MakeQuery(kGroupedQuery, /*incremental=*/false);
+  auto fast = MakeQuery(kGroupedQuery);
+  Rescan slow(kGroupedQuery);
   ASSERT_NE(fast, nullptr);
-  ASSERT_NE(slow, nullptr);
+  ASSERT_NE(slow.query, nullptr);
 
   Driver driver(31);
   auto feed = [&](ContinuousQuery& q, const std::vector<Tuple>& burst) {
@@ -146,16 +163,16 @@ TEST(IncrementalQueryTest, CheckpointRestoreMidWindowMatchesRescan) {
   for (int tick = 0; tick < 50; ++tick) {
     const std::vector<Tuple> burst = driver.NextBurst();
     feed(*fast, burst);
-    feed(*slow, burst);
+    for (const Tuple& tuple : burst) slow.history.Add(tuple);
     ASSERT_TRUE(fast->Evaluate(driver.now()).ok());
-    ASSERT_TRUE(slow->Evaluate(driver.now()).ok());
+    ASSERT_TRUE(slow.Evaluate(driver.now()).ok());
   }
 
   // Checkpoint the incremental query mid-window and restore into a fresh
   // instance (whose engine must rebuild from the restored history).
   ByteWriter checkpoint;
   fast->SaveState(checkpoint);
-  auto restored = MakeQuery(kGroupedQuery, /*incremental=*/true);
+  auto restored = MakeQuery(kGroupedQuery);
   ASSERT_NE(restored, nullptr);
   ByteReader reader(checkpoint.data());
   ASSERT_TRUE(restored->LoadState(reader).ok());
@@ -166,10 +183,10 @@ TEST(IncrementalQueryTest, CheckpointRestoreMidWindowMatchesRescan) {
     const std::vector<Tuple> burst = driver.NextBurst();
     feed(*fast, burst);
     feed(*restored, burst);
-    feed(*slow, burst);
+    for (const Tuple& tuple : burst) slow.history.Add(tuple);
     auto a = fast->Evaluate(driver.now());
     auto b = restored->Evaluate(driver.now());
-    auto c = slow->Evaluate(driver.now());
+    auto c = slow.Evaluate(driver.now());
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
     ASSERT_TRUE(c.ok()) << c.status();
@@ -179,26 +196,26 @@ TEST(IncrementalQueryTest, CheckpointRestoreMidWindowMatchesRescan) {
 }
 
 TEST(IncrementalQueryTest, NonAdmissibleQueryStillMatchesRescan) {
-  // A correlated >= ALL subquery is not engine-admissible; both instances
-  // take the legacy path, and the persistent-scratch rescan must still equal
-  // a scratch-free evaluation. (The toggle must be a no-op here.)
+  // A correlated >= ALL subquery is not engine-admissible; the standing
+  // query takes the legacy path, and its persistent-scratch rescan must
+  // still equal a scratch-free one-shot evaluation.
   const std::string arbitrate =
       "SELECT tag_id, reads FROM readings r [Range By '5 sec'] "
       "WHERE reads >= ALL(SELECT reads FROM readings o [Range By '5 sec'] "
       "WHERE o.tag_id = r.tag_id)";
-  auto fast = MakeQuery(arbitrate, /*incremental=*/true);
-  auto slow = MakeQuery(arbitrate, /*incremental=*/false);
+  auto fast = MakeQuery(arbitrate);
+  Rescan slow(arbitrate);
   ASSERT_NE(fast, nullptr);
-  ASSERT_NE(slow, nullptr);
+  ASSERT_NE(slow.query, nullptr);
 
   Driver driver(41);
   for (int tick = 0; tick < 150; ++tick) {
     for (const Tuple& tuple : driver.NextBurst()) {
       ASSERT_TRUE(fast->Push("readings", tuple).ok());
-      ASSERT_TRUE(slow->Push("readings", tuple).ok());
+      slow.history.Add(tuple);
     }
     auto got = fast->Evaluate(driver.now());
-    auto want = slow->Evaluate(driver.now());
+    auto want = slow.Evaluate(driver.now());
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_TRUE(want.ok()) << want.status();
     ASSERT_EQ(Bytes(*got), Bytes(*want)) << "tick " << tick;

@@ -1,11 +1,10 @@
 // Multi-tenant shared-plan serving tests. The registry's contract is
 // exactness: with plan dedupe and window sharing on, every subscription's
 // per-tick output must be bitwise-identical to a naive one-plan-per-query
-// baseline fed the same stream — across the sharing × columnar ×
-// incremental toggle matrix, across runtime add/remove against warm
-// windows, and across checkpoint/restore. On top of that sit the typed
-// admission-control errors and the dedupe/cost accounting the serving
-// layer reports through Health().
+// baseline fed the same stream — across the sharing × columnar toggle
+// matrix, across runtime add/remove against warm windows, and across
+// checkpoint/restore. On top of that sit the typed admission-control errors
+// and the dedupe/cost accounting the serving layer reports through Health().
 
 #include "cql/query_registry.h"
 
@@ -22,7 +21,6 @@
 #include "core/processor.h"
 #include "core/sharded_processor.h"
 #include "core/toolkit.h"
-#include "cql/incremental_exec.h"
 #include "sim/reading.h"
 #include "stream/column.h"
 
@@ -41,13 +39,10 @@ SchemaRef ReadingSchema() {
                              {"temp", DataType::kDouble}});
 }
 
-/// Restores the global execution toggles on scope exit so a failing matrix
+/// Restores the global columnar toggle on scope exit so a failing matrix
 /// leg cannot poison unrelated tests.
 struct ToggleGuard {
-  ~ToggleGuard() {
-    stream::SetColumnarEnabled(true);
-    SetIncrementalEvalForBenchmarks(true);
-  }
+  ~ToggleGuard() { stream::SetColumnarEnabled(true); }
 };
 
 Tuple Reading(const SchemaRef& schema, Rng& rng, int t, int i) {
@@ -194,11 +189,8 @@ TEST(QueryRegistryEquivalenceTest, MatchesNaiveAcrossSharingMatrix) {
 TEST(QueryRegistryEquivalenceTest, MatchesNaiveAcrossExecutionToggles) {
   ToggleGuard guard;
   for (const bool columnar : {false, true}) {
-    for (const bool incremental : {false, true}) {
-      stream::SetColumnarEnabled(columnar);
-      SetIncrementalEvalForBenchmarks(incremental);
-      RunEquivalence(/*share_plans=*/true, /*share_windows=*/true);
-    }
+    stream::SetColumnarEnabled(columnar);
+    RunEquivalence(/*share_plans=*/true, /*share_windows=*/true);
   }
 }
 

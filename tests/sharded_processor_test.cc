@@ -17,12 +17,9 @@
 #include "core/checkpoint.h"
 #include "core/recovery.h"
 #include "core/toolkit.h"
-#include "cql/incremental_exec.h"
 #include "sim/fault_injector.h"
 #include "sim/reading.h"
-#include "stream/arena.h"
 #include "stream/serialize.h"
-#include "stream/symbol_table.h"
 
 namespace esp::core {
 namespace {
@@ -466,63 +463,6 @@ TEST(ShardedEspProcessorTest, SharedExternalPool) {
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok());
     EXPECT_EQ(Fingerprint(*expected), Fingerprint(*actual));
-  }
-}
-
-TEST(ShardedEspProcessorTest, DataPlaneTogglesPreserveBitwiseOutputs) {
-  // The zero-copy data plane is three independent optimizations — string
-  // interning, arena pooling, and incremental window evaluation. Every
-  // on/off combination, sharded or not, must reproduce the default
-  // configuration's outputs byte for byte.
-  constexpr int kShelves = 6;
-  constexpr int kTicks = 30;
-
-  // Baseline: defaults (all optimizations on), single processor.
-  std::vector<std::string> baseline;
-  {
-    EspProcessor single;
-    ASSERT_TRUE(ConfigureShelves(single, kShelves).ok());
-    ASSERT_TRUE(single.Start().ok());
-    Rng rng(7);
-    for (int t = 0; t < kTicks; ++t) {
-      for (const Tuple& reading : TickReadings(kShelves, 1, t, rng)) {
-        ASSERT_TRUE(single.Push("rfid", reading).ok());
-      }
-      auto result = single.Tick(Timestamp::Seconds(t));
-      ASSERT_TRUE(result.ok()) << result.status();
-      baseline.push_back(Fingerprint(*result));
-    }
-  }
-
-  for (const bool interned : {false, true}) {
-    for (const bool incremental : {false, true}) {
-      for (const bool pooled : {false, true}) {
-        // Toggles are construction-time (incremental) or ingest-time
-        // (interning) decisions, so set them before building the engine.
-        stream::SetStringInterningEnabled(interned);
-        cql::SetIncrementalEvalForBenchmarks(incremental);
-        stream::TupleArena::SetPoolingEnabled(pooled);
-
-        ShardedEspProcessor sharded({.num_shards = 3});
-        ASSERT_TRUE(ConfigureShelves(sharded, kShelves).ok());
-        ASSERT_TRUE(sharded.Start().ok());
-        Rng rng(7);
-        for (int t = 0; t < kTicks; ++t) {
-          for (const Tuple& reading : TickReadings(kShelves, 1, t, rng)) {
-            ASSERT_TRUE(sharded.Push("rfid", reading).ok());
-          }
-          auto result = sharded.Tick(Timestamp::Seconds(t));
-          ASSERT_TRUE(result.ok()) << result.status();
-          ASSERT_EQ(baseline[t], Fingerprint(*result))
-              << "interned=" << interned << " incremental=" << incremental
-              << " pooled=" << pooled << " tick=" << t;
-        }
-
-        stream::SetStringInterningEnabled(true);
-        cql::SetIncrementalEvalForBenchmarks(true);
-        stream::TupleArena::SetPoolingEnabled(true);
-      }
-    }
   }
 }
 

@@ -1,10 +1,11 @@
 #include "stream/value.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/binio.h"
 #include "stream/serialize.h"
-#include "stream/symbol_table.h"
 
 namespace esp::stream {
 namespace {
@@ -100,6 +101,19 @@ TEST(ValueArithmeticTest, Negate) {
   EXPECT_DOUBLE_EQ(Negate(Value::Double(2.5))->double_value(), -2.5);
 }
 
+TEST(ValueArithmeticTest, Int64OverflowIsAnError) {
+  const Value max = Value::Int64(std::numeric_limits<int64_t>::max());
+  const Value min = Value::Int64(std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Add(max, Value::Int64(1)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(Subtract(min, Value::Int64(1)).ok());
+  EXPECT_FALSE(Multiply(max, Value::Int64(2)).ok());
+  EXPECT_FALSE(Divide(min, Value::Int64(-1)).ok());
+  EXPECT_FALSE(Negate(min).ok());
+  EXPECT_EQ(Modulo(min, Value::Int64(-1))->int64_value(), 0);
+  EXPECT_EQ(Add(max, Value::Int64(-1))->int64_value(), max.int64_value() - 1);
+}
+
 TEST(ValueInternedTest, BehavesLikePlainString) {
   const Value interned = Value::Interned("shelf_3");
   const Value plain = Value::String("shelf_3");
@@ -144,14 +158,6 @@ TEST(ValueInternedTest, SerializesAsPlainString) {
   EXPECT_FALSE(back->is_interned());
   EXPECT_EQ(back->string_value(), "tag_9");
   EXPECT_TRUE(back->Equals(Value::Interned("tag_9")));
-}
-
-TEST(ValueInternedTest, InterningToggleFallsBackToPlain) {
-  SetStringInterningEnabled(false);
-  const Value v = Value::Interned("toggle_test");
-  SetStringInterningEnabled(true);
-  EXPECT_FALSE(v.is_interned());
-  EXPECT_EQ(v.string_value(), "toggle_test");
 }
 
 }  // namespace
