@@ -10,11 +10,13 @@
 // output is fingerprinted and compared BITWISE against an uninterrupted
 // single-process EspProcessor over the same inputs.
 //
-// Emits BENCH_cluster.json with failover counts and recovery-time
-// percentiles; exits non-zero on any divergence or an undetected kill.
+// Emits BENCH_cluster.json with failover counts, recovery-time percentiles
+// and the median wall time of coordinator.Tick; exits non-zero on any
+// divergence or an undetected kill.
 
 #include <signal.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -171,6 +173,8 @@ struct ClusterRunResult {
   bool bitwise_identical = false;
   int kills_delivered = 0;
   cluster::ClusterStats stats;
+  /// Wall time of each coordinator.Tick, failover ticks included.
+  LatencyRecorder tick_ms;
   std::string failure;
 };
 
@@ -205,8 +209,12 @@ Status RunCluster(const std::vector<Step>& steps,
     for (const Tuple& tuple : steps[t].pushes) {
       ESP_RETURN_IF_ERROR(coordinator.Push("rfid", tuple));
     }
+    const auto start = std::chrono::steady_clock::now();
     ESP_ASSIGN_OR_RETURN(const core::TickResult result,
                          coordinator.Tick(steps[t].tick));
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - start;
+    out->tick_ms.Record(took.count());
     fingerprints.push_back(Fingerprint(result));
   }
   ESP_RETURN_IF_ERROR(coordinator.Stop());
@@ -253,6 +261,7 @@ int Run(const std::string& out_dir) {
   for (const double ms : run.stats.recovery_ms) recovery.Record(ms);
   const double recovery_p50 = recovery.Percentile(0.50);
   const double recovery_p99 = recovery.Percentile(0.99);
+  const double tick_p50 = run.tick_ms.Percentile(0.50);
 
   std::printf(
       "cluster: %d ticks over %zu workers, %zu readings routed via %lld "
@@ -268,6 +277,8 @@ int Run(const std::string& out_dir) {
       static_cast<long long>(run.stats.duplicate_results));
   std::printf("recovery: %zu failovers, p50=%.1fms p99=%.1fms\n",
               run.stats.recovery_ms.size(), recovery_p50, recovery_p99);
+  std::printf("tick: p50=%.2fms over %zu ticks\n", tick_p50,
+              run.tick_ms.size());
   std::printf("bitwise_identical=%s\n",
               run.bitwise_identical ? "true" : "false");
   if (!run.failure.empty()) {
@@ -289,14 +300,15 @@ int Run(const std::string& out_dir) {
       "\"worker_deaths\": %lld, \"workers_spawned\": %lld, "
       "\"fenced_frames\": %lld, \"duplicate_results\": %lld, "
       "\"heartbeats\": %lld, \"recovery_ms_p50\": %.2f, "
-      "\"recovery_ms_p99\": %.2f, \"bitwise_identical\": %s}\n",
+      "\"recovery_ms_p99\": %.2f, \"tick_ms_p50\": %.3f, "
+      "\"bitwise_identical\": %s}\n",
       BuildFlagsJson().c_str(), kWorkers, kTicks, TotalReadings(steps),
       run.kills_delivered, static_cast<long long>(run.stats.worker_deaths),
       static_cast<long long>(run.stats.workers_spawned),
       static_cast<long long>(run.stats.fenced_frames),
       static_cast<long long>(run.stats.duplicate_results),
       static_cast<long long>(run.stats.heartbeats_received), recovery_p50,
-      recovery_p99, ok ? "true" : "false");
+      recovery_p99, tick_p50, ok ? "true" : "false");
   std::printf("%s", json);
   const std::string out_path = OutputPath(out_dir, "BENCH_cluster.json");
   if (FILE* f = fopen(out_path.c_str(), "w"); f != nullptr) {

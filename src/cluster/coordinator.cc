@@ -150,11 +150,12 @@ Status ClusterCoordinator::Start(WorkerSupervisor* supervisor) {
   ESP_RETURN_IF_ERROR(oracle_->SetHealthPolicy(tail_.policy()));
   for (const core::ProximityGroup& group : groups_) {
     ESP_RETURN_IF_ERROR(oracle_->AddProximityGroup(group));
+    const uint32_t slot = AssignSlot(group.device_type, group.id);
     for (const std::string& receptor_id : group.receptor_ids) {
-      receptor_group_[Key(group.device_type, receptor_id)] = group.id;
+      receptor_slot_[core::EngineTail::ReceptorKey(group.device_type,
+                                                   receptor_id)] = slot;
     }
-    group_slot_[Key(group.device_type, group.id)] =
-        AssignSlot(group.device_type, group.id);
+    group_slot_[Key(group.device_type, group.id)] = slot;
   }
   group_order_.assign(tail_.num_types(), {});
   for (size_t t = 0; t < tail_.num_types(); ++t) {
@@ -280,12 +281,13 @@ Status ClusterCoordinator::Push(const std::string& device_type, Tuple raw) {
                        tail_.ValidateReading(device_type, raw));
   const std::string& canonical = tail_.pipeline(reading.type).device_type;
   const std::string& receptor = reading.receptor.string_value();
-  const auto group_it = receptor_group_.find(Key(canonical, receptor));
-  if (group_it == receptor_group_.end()) {
+  const auto it = receptor_slot_.find(
+      core::EngineTail::ReceptorKey(canonical, receptor));
+  if (it == receptor_slot_.end()) {
     return core::EngineTail::UnknownReceptor(receptor, device_type);
   }
-  const uint32_t slot = group_slot_.at(Key(canonical, group_it->second));
-  links_[slot].pending.push_back(PendingReading{canonical, std::move(raw)});
+  links_[it->second].pending.push_back(
+      PendingReading{canonical, std::move(raw)});
   ++stats_.readings_routed;
   return Status::OK();
 }

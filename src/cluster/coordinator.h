@@ -8,11 +8,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/membership.h"
 #include "cluster/supervisor.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "common/time.h"
 #include "core/processor.h"
 #include "net/socket.h"
@@ -234,8 +236,9 @@ class ClusterCoordinator {
   /// tail's binding), never fed any data.
   std::unique_ptr<core::EspProcessor> oracle_;
 
-  /// receptor -> group id, per device type (keys are "type\0receptor").
-  std::map<std::string, std::string> receptor_group_;
+  /// (device_type '\0' receptor_id) -> slot, case-insensitive.
+  std::unordered_map<std::string, uint32_t, AsciiCaseHash, AsciiCaseEq>
+      receptor_slot_;
   /// "type\0group" -> slot.
   std::map<std::string, uint32_t> group_slot_;
 

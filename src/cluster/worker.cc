@@ -24,17 +24,12 @@ using net::SequenceTracker;
 /// Encodes one tick's partial aggregates as the kTickResult frame this
 /// worker would (re)send for it.
 std::string EncodeResultFrame(const WorkerOptions& options, Timestamp now,
-                              const core::TickResult& result) {
+                              std::vector<core::GroupPartial> partials) {
   net::TickResultMessage msg;
   msg.slot = options.slot;
   msg.epoch = options.epoch;
   msg.tick_time = now;
-  msg.partials.reserve(result.group_partials.size());
-  for (const core::GroupPartial& partial : result.group_partials) {
-    msg.partials.push_back(net::WirePartial{partial.device_type,
-                                            partial.group_id,
-                                            partial.relation});
-  }
+  msg.partials = std::move(partials);
   return net::EncodeTickResult(msg);
 }
 
@@ -57,6 +52,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 Status RunWorker(const WorkerOptions& options, const EngineFactory& factory) {
   ESP_ASSIGN_OR_RETURN(std::unique_ptr<core::StreamEngine> engine, factory());
+  // Ticks stop at Merge; the coordinator runs the tail over every slot's
+  // partials.
   engine->SetExportGroupPartials(true);
 
   core::RecoveryOptions ropts = options.recovery;
@@ -72,7 +69,8 @@ Status RunWorker(const WorkerOptions& options, const EngineFactory& factory) {
   if (options.resume) {
     const auto on_replayed =
         [&](Timestamp now, const core::TickResult& result) -> Status {
-      last_result_frame = EncodeResultFrame(options, now, result);
+      last_result_frame =
+          EncodeResultFrame(options, now, result.group_partials);
       return Status::OK();
     };
     ESP_ASSIGN_OR_RETURN(recovery,
@@ -189,10 +187,11 @@ Status RunWorker(const WorkerOptions& options, const EngineFactory& factory) {
           return send(net::EncodeAck(tracker.last_applied()));
         }
         if (!admit.ok()) return false;
-        ESP_ASSIGN_OR_RETURN(const core::TickResult result,
+        ESP_ASSIGN_OR_RETURN(core::TickResult result,
                              recovery->Tick(tick.time));
         tracker.Commit(tick.seq);
-        last_result_frame = EncodeResultFrame(options, tick.time, result);
+        last_result_frame = EncodeResultFrame(
+            options, tick.time, std::move(result.group_partials));
         if (!send(*last_result_frame)) return false;
         return send(net::EncodeAck(tracker.last_applied()));
       }
@@ -224,13 +223,15 @@ Status RunWorker(const WorkerOptions& options, const EngineFactory& factory) {
     if (n < 0 && errno != EINTR) return Status::FromErrno("poll", errno);
 
     if (n > 0 && (fds[0].revents & POLLIN)) {
-      net::UniqueFd accepted(
-          ::accept4(listener.fd.get(), nullptr, nullptr, SOCK_CLOEXEC));
-      if (accepted.valid()) {
+      // A dial that could not be configured is dropped (closed); the
+      // coordinator redials.
+      StatusOr<std::optional<net::UniqueFd>> accepted =
+          net::TcpAccept(listener.fd.get(), /*nonblocking=*/false);
+      if (accepted.ok() && accepted->has_value()) {
         // The newest dial wins: the coordinator only redials after it gave
         // up on the previous connection.
         session.emplace(options.max_frame_bytes);
-        session->fd = std::move(accepted);
+        session->fd = std::move(**accepted);
       }
     }
 

@@ -28,9 +28,10 @@ struct GroupPartial {
 
 /// \brief One tick's cleaned outputs: the final relation per device type
 /// (after Arbitrate), in pipeline registration order, plus the Virtualize
-/// output when that stage is installed. `group_partials` is populated only
-/// when SetExportGroupPartials(true) — per-group Merge outputs in (type,
-/// group) registration order, captured before Union/Arbitrate.
+/// output when that stage is installed. With SetExportGroupPartials(true)
+/// the tick stops at Merge instead: `group_partials` holds the per-group
+/// Merge outputs in (type, group) registration order and every other field
+/// is empty.
 struct TickResult {
   std::vector<std::pair<std::string, stream::Relation>> per_type;
   std::optional<stream::Relation> virtualized;
@@ -65,11 +66,13 @@ class StreamEngine {
   /// non-decreasing.
   virtual StatusOr<TickResult> Tick(Timestamp now) = 0;
 
-  /// When enabled, every Tick also returns each proximity group's
-  /// post-Merge relation in TickResult::group_partials (a copy — the
-  /// per-type cascade still runs unchanged). Cluster workers turn this on
-  /// so the coordinator can reassemble partials across workers and run the
-  /// cross-group Arbitrate centrally. Off by default; call before or
+  /// When enabled, Tick stops after Merge: it moves each proximity group's
+  /// post-Merge relation into TickResult::group_partials and runs no Union,
+  /// Arbitrate, Virtualize or query serving, so those stages' state does
+  /// not advance. Cluster workers turn this on (their pipelines have
+  /// Arbitrate stripped and no Virtualize or subscriptions, so their tail
+  /// holds no state); the coordinator reassembles the partials across
+  /// workers and runs the tail centrally. Off by default; call before or
   /// between ticks.
   virtual void SetExportGroupPartials(bool enabled) = 0;
 

@@ -109,6 +109,16 @@ Status EngineTail::UnknownReceptor(const std::string& receptor,
                           device_type + "' is in no proximity group");
 }
 
+std::string EngineTail::ReceptorKey(const std::string& device_type,
+                                    const std::string& receptor_id) {
+  std::string key;
+  key.reserve(device_type.size() + 1 + receptor_id.size());
+  key += device_type;
+  key.push_back('\0');
+  key += receptor_id;
+  return key;
+}
+
 Status EngineTail::Start(const std::vector<SchemaRef>& group_output_schemas) {
   cql::SchemaCatalog virtualize_inputs;
   for (size_t i = 0; i < types_.size(); ++i) {

@@ -130,6 +130,12 @@ class EngineTail {
   static Status UnknownReceptor(const std::string& receptor,
                                 const std::string& device_type);
 
+  /// Key of an engine's receptor routing map: device_type '\0'
+  /// receptor_id, not lower-cased — the map's AsciiCaseHash / AsciiCaseEq
+  /// match it case-insensitively, so Push allocates no lowered copy.
+  static std::string ReceptorKey(const std::string& device_type,
+                                 const std::string& receptor_id);
+
   /// Binds each type's Arbitrate over its post-Merge schema
   /// (`group_output_schemas`, one per type) and Virtualize over the
   /// resulting outputs.

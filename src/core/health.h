@@ -139,7 +139,9 @@ struct ClientIngestStats {
 struct IngestStats {
   int64_t connections_accepted = 0;
   int64_t connections_closed = 0;
-  int64_t connections_rejected = 0;  // Over the max_connections cap.
+  /// Over the max_connections cap, or a socket that could not be
+  /// configured or registered.
+  int64_t connections_rejected = 0;
   /// Older connection evicted because its client id reconnected; the
   /// evicted connection's queued-but-unapplied frames are dropped without
   /// committing (the new connection's resume covers them).

@@ -162,15 +162,26 @@ Status EspProcessor::EnsureQuarantineGroup(const std::string& device_type) {
 }
 
 StatusOr<TickResult> EspProcessor::Tick(Timestamp now) {
+  ESP_ASSIGN_OR_RETURN(MergedGroups groups, TickGroups(now));
   TickResult result;
-  ESP_ASSIGN_OR_RETURN(MergedGroups groups,
-                       TickGroups(now, result.group_partials));
+  if (export_group_partials_) {
+    // A cluster worker stops at Merge and ships the relations it holds;
+    // the coordinator runs the tail.
+    for (size_t t = 0; t < types_.size(); ++t) {
+      for (size_t g = 0; g < groups[t].size(); ++g) {
+        result.group_partials.push_back(
+            GroupPartial{types_[t].config->device_type,
+                         types_[t].groups[g].group_id,
+                         std::move(groups[t][g])});
+      }
+    }
+    return result;
+  }
   ESP_RETURN_IF_ERROR(tail_.Run(std::move(groups), now, result));
   return result;
 }
 
-StatusOr<MergedGroups> EspProcessor::TickGroups(
-    Timestamp now, std::vector<GroupPartial>& partials) {
+StatusOr<MergedGroups> EspProcessor::TickGroups(Timestamp now) {
   if (!started_) return Status::Internal("processor not started");
   if (has_ticked_ && now < last_tick_) {
     return Status::InvalidArgument("tick times must be non-decreasing");
@@ -309,17 +320,6 @@ StatusOr<MergedGroups> EspProcessor::TickGroups(
                                 std::move(input), now, device_type,
                                 type.groups[g].group_id));
       merged.push_back(std::move(out));
-    }
-
-    // --- Partial-aggregate export (cluster workers). The copies are taken
-    // here — after Merge, before the tail — because this is the exact
-    // hand-off point where a coordinator stitches workers' groups back
-    // into the global registration order. ---
-    if (export_group_partials_) {
-      for (size_t g = 0; g < type.groups.size(); ++g) {
-        partials.push_back(
-            GroupPartial{device_type, type.groups[g].group_id, merged[g]});
-      }
     }
     merged_groups.push_back(std::move(merged));
   }

@@ -83,11 +83,11 @@ class EspProcessor : public StreamEngine {
 
   /// The per-group half of Tick(): releases the reorder buffers and runs
   /// Point, Smooth and Merge, returning each type's post-Merge relations in
-  /// group-registration order (the EngineTail's input) and appending the
-  /// group partials when exporting. Tick() is this followed by the tail;
-  /// ShardedEspProcessor ticks its shards through it.
-  StatusOr<MergedGroups> TickGroups(Timestamp now,
-                                    std::vector<GroupPartial>& partials);
+  /// group-registration order (the EngineTail's input). Tick() is this
+  /// followed by the tail, or, when exporting group partials, by moving
+  /// these relations into TickResult::group_partials; ShardedEspProcessor
+  /// ticks its shards through it.
+  StatusOr<MergedGroups> TickGroups(Timestamp now);
 
   /// See StreamEngine::SetExportGroupPartials.
   void SetExportGroupPartials(bool enabled) override {

@@ -17,19 +17,6 @@ using stream::Value;
 
 namespace {
 
-// Composite routing key; the map's transparent case-insensitive hash makes
-// lower-casing unnecessary, and the short concatenation stays within SSO on
-// the Push hot path.
-std::string RouteKey(const std::string& device_type,
-                     const std::string& receptor_id) {
-  std::string key;
-  key.reserve(device_type.size() + 1 + receptor_id.size());
-  key += device_type;
-  key.push_back('\0');
-  key += receptor_id;
-  return key;
-}
-
 std::string ShardSectionName(size_t shard) {
   return "shard_" + std::to_string(shard);
 }
@@ -73,7 +60,6 @@ Status ShardedEspProcessor::Start() {
   for (size_t s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<EspProcessor>());
     ESP_RETURN_IF_ERROR(shards_[s]->SetHealthPolicy(tail_.policy()));
-    shards_[s]->SetExportGroupPartials(export_group_partials_);
   }
 
   // Partition each type's proximity groups into contiguous blocks in
@@ -82,6 +68,7 @@ Status ShardedEspProcessor::Start() {
   // the shards' relations, taken in shard order, the single processor's
   // groups in registration order (see class comment).
   hosts_.assign(tail_.num_types(), {});
+  group_ids_.assign(tail_.num_types(), {});
   std::vector<size_t> shard_types(num_shards, 0);
   for (size_t t = 0; t < tail_.num_types(); ++t) {
     const DeviceTypePipeline& config = tail_.pipeline(t);
@@ -89,6 +76,9 @@ Status ShardedEspProcessor::Start() {
     if (groups.empty()) {
       return Status::InvalidArgument("no proximity groups for device type '" +
                                      config.device_type + "'");
+    }
+    for (const ProximityGroup* group : groups) {
+      group_ids_[t].push_back(group->id);
     }
     const size_t g_count = groups.size();
     const size_t base = g_count / num_shards;
@@ -101,7 +91,8 @@ Status ShardedEspProcessor::Start() {
         const ProximityGroup* group = groups[next];
         ESP_RETURN_IF_ERROR(shards_[s]->AddProximityGroup(*group));
         for (const std::string& receptor_id : group->receptor_ids) {
-          receptor_shard_[RouteKey(config.device_type, receptor_id)] = s;
+          receptor_shard_[EngineTail::ReceptorKey(config.device_type,
+                                                  receptor_id)] = s;
         }
       }
       hosts_[t].push_back(Host{s, shard_types[s]++});
@@ -130,7 +121,8 @@ Status ShardedEspProcessor::Push(const std::string& device_type, Tuple raw) {
   ESP_ASSIGN_OR_RETURN(const EngineTail::Reading reading,
                        tail_.ValidateReading(device_type, raw));
   const std::string& receptor = reading.receptor.string_value();
-  const auto it = receptor_shard_.find(RouteKey(device_type, receptor));
+  const auto it =
+      receptor_shard_.find(EngineTail::ReceptorKey(device_type, receptor));
   if (it == receptor_shard_.end()) {
     return EngineTail::UnknownReceptor(receptor, device_type);
   }
@@ -138,13 +130,6 @@ Status ShardedEspProcessor::Push(const std::string& device_type, Tuple raw) {
   // pointer fast path) and applies the watermark contract against its own
   // clock, which ticks in lockstep with ours.
   return shards_[it->second]->Push(device_type, std::move(raw));
-}
-
-void ShardedEspProcessor::SetExportGroupPartials(bool enabled) {
-  export_group_partials_ = enabled;
-  for (std::unique_ptr<EspProcessor>& shard : shards_) {
-    shard->SetExportGroupPartials(enabled);
-  }
 }
 
 StatusOr<TickResult> ShardedEspProcessor::Tick(Timestamp now) {
@@ -159,9 +144,8 @@ StatusOr<TickResult> ShardedEspProcessor::Tick(Timestamp now) {
   // one worker; errors are surfaced in shard order for determinism.
   std::vector<std::optional<StatusOr<MergedGroups>>> shard_groups(
       shards_.size());
-  std::vector<std::vector<GroupPartial>> shard_partials(shards_.size());
   pool_->ParallelFor(shards_.size(), [&](size_t s) {
-    shard_groups[s] = shards_[s]->TickGroups(now, shard_partials[s]);
+    shard_groups[s] = shards_[s]->TickGroups(now);
   });
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (!shard_groups[s]->ok()) return shard_groups[s]->status();
@@ -177,13 +161,17 @@ StatusOr<TickResult> ShardedEspProcessor::Tick(Timestamp now) {
           shard_groups[host.shard]->value()[host.local_type];
       groups[t].insert(groups[t].end(), std::make_move_iterator(part.begin()),
                        std::make_move_iterator(part.end()));
-      for (GroupPartial& partial : shard_partials[host.shard]) {
-        if (StrEqualsIgnoreCase(partial.device_type,
-                                tail_.pipeline(t).device_type)) {
-          result.group_partials.push_back(std::move(partial));
-        }
+    }
+  }
+  if (export_group_partials_) {
+    for (size_t t = 0; t < groups.size(); ++t) {
+      for (size_t g = 0; g < groups[t].size(); ++g) {
+        result.group_partials.push_back(
+            GroupPartial{tail_.pipeline(t).device_type, group_ids_[t][g],
+                         std::move(groups[t][g])});
       }
     }
+    return result;
   }
   ESP_RETURN_IF_ERROR(tail_.Run(std::move(groups), now, result));
   return result;

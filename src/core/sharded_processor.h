@@ -77,10 +77,12 @@ class ShardedEspProcessor : public StreamEngine {
   // StreamEngine:
   Status Push(const std::string& device_type, stream::Tuple raw) override;
   StatusOr<TickResult> Tick(Timestamp now) override;
-  /// Forwards to every shard; shard partials are concatenated into
-  /// TickResult::group_partials in shard order (per type, that is global
-  /// group-registration order thanks to block contiguity).
-  void SetExportGroupPartials(bool enabled) override;
+  /// See StreamEngine::SetExportGroupPartials. The shards' post-Merge
+  /// relations, reassembled in global group-registration order, become
+  /// TickResult::group_partials.
+  void SetExportGroupPartials(bool enabled) override {
+    export_group_partials_ = enabled;
+  }
   bool has_ticked() const override { return has_ticked_; }
   Timestamp last_tick() const override { return last_tick_; }
   StatusOr<stream::SchemaRef> TypeReadingSchema(
@@ -146,6 +148,9 @@ class ShardedEspProcessor : public StreamEngine {
   EngineTail tail_;
   /// Per type (tail order): its hosting shards, ascending.
   std::vector<std::vector<Host>> hosts_;
+  /// Per type (tail order): its group ids in registration order, naming
+  /// the exported group partials.
+  std::vector<std::vector<std::string>> group_ids_;
 
   std::vector<std::unique_ptr<EspProcessor>> shards_;
   /// (device_type '\0' receptor_id) -> shard index, case-insensitive.

@@ -111,9 +111,11 @@ void FaultProxy::Loop() {
 
 void FaultProxy::HandleAccept() {
   for (;;) {
-    UniqueFd client(::accept4(listen_fd_.get(), nullptr, nullptr,
-                              SOCK_CLOEXEC));
-    if (!client.valid()) return;  // EAGAIN or transient error: next pass.
+    StatusOr<std::optional<UniqueFd>> accepted =
+        TcpAccept(listen_fd_.get(), /*nonblocking=*/false);
+    if (!accepted.ok()) continue;  // Not configurable; already closed.
+    if (!accepted->has_value()) return;  // None pending: next pass.
+    UniqueFd client = std::move(**accepted);
     StatusOr<UniqueFd> upstream = TcpConnect(
         options_.target_host, options_.target_port, Duration::Seconds(5));
     if (!upstream.ok()) continue;  // Drop the client; it will retry.

@@ -185,12 +185,15 @@ void IngestServer::Loop() {
 
 void IngestServer::HandleAccept() {
   for (;;) {
-    UniqueFd fd(::accept4(listen_fd_.get(), nullptr, nullptr,
-                          SOCK_NONBLOCK | SOCK_CLOEXEC));
-    if (!fd.valid()) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-      return;  // Transient accept errors: drop and retry next wakeup.
+    StatusOr<std::optional<UniqueFd>> accepted =
+        TcpAccept(listen_fd_.get(), /*nonblocking=*/true);
+    if (!accepted.ok()) {
+      work_.connections_rejected++;  // Not configurable; already closed.
+      continue;
     }
+    // None pending, or a transient accept error: retry next wakeup.
+    if (!accepted->has_value()) return;
+    UniqueFd fd = std::move(**accepted);
     if (connections_.size() >= options_.max_connections) {
       work_.connections_rejected++;
       continue;  // UniqueFd closes it.

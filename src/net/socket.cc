@@ -69,6 +69,14 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
+Status ConfigureStream(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    return Status::FromErrno("setsockopt(TCP_NODELAY)", errno);
+  }
+  return Status::OK();
+}
+
 StatusOr<ListenSocket> TcpListen(const std::string& address, uint16_t port,
                                  int backlog) {
   ESP_ASSIGN_OR_RETURN(struct sockaddr_in addr, MakeAddr(address, port));
@@ -140,9 +148,16 @@ StatusOr<UniqueFd> TcpConnect(const std::string& host, uint16_t port,
   if (::fcntl(fd.get(), F_SETFL, flags & ~O_NONBLOCK) < 0) {
     return Status::FromErrno("fcntl(F_SETFL)", errno);
   }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  ESP_RETURN_IF_ERROR(ConfigureStream(fd.get()));
   return fd;
+}
+
+StatusOr<std::optional<UniqueFd>> TcpAccept(int listen_fd, bool nonblocking) {
+  UniqueFd fd(::accept4(listen_fd, nullptr, nullptr,
+                        SOCK_CLOEXEC | (nonblocking ? SOCK_NONBLOCK : 0)));
+  if (!fd.valid()) return std::optional<UniqueFd>();
+  ESP_RETURN_IF_ERROR(ConfigureStream(fd.get()));
+  return std::optional<UniqueFd>(std::move(fd));
 }
 
 Status SendAll(int fd, std::string_view data, Duration timeout) {

@@ -2,6 +2,7 @@
 #define ESP_NET_SOCKET_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,12 +53,29 @@ struct ListenSocket {
 StatusOr<ListenSocket> TcpListen(const std::string& address, uint16_t port,
                                  int backlog = 128);
 
-/// Connects to `host`:`port` with a deadline. The returned socket is left in
-/// BLOCKING mode (the IngestClient layers poll()-based timeouts on top via
-/// SendAll/RecvSome). kTimedOut when the deadline elapses, kConnectionReset
-/// when the peer refuses.
+/// The socket rule: every TCP stream the program opens (TcpConnect) or
+/// accepts (TcpAccept) gets its options here, on both ends of the link.
+/// Sets TCP_NODELAY: the cluster and ingest protocols answer a request
+/// with several small writes, and with Nagle's algorithm on, a write behind
+/// an unacknowledged one waits out the peer's delayed ACK (~40 ms on
+/// Linux).
+Status ConfigureStream(int fd);
+
+/// Connects to `host`:`port` with a deadline and applies ConfigureStream.
+/// The returned socket is left in BLOCKING mode (the IngestClient layers
+/// poll()-based timeouts on top via SendAll/RecvSome). kTimedOut when the
+/// deadline elapses, kConnectionReset when the peer refuses.
 StatusOr<UniqueFd> TcpConnect(const std::string& host, uint16_t port,
                               Duration timeout);
+
+/// Accepts one pending connection on the listener `listen_fd` and applies
+/// ConfigureStream: the accept path of every server in the program. The
+/// accepted socket is close-on-exec, and non-blocking when `nonblocking`.
+/// nullopt when no connection could be taken (none pending, or an accept
+/// error; retry on the listener's next readiness). A non-OK status means
+/// one connection was taken but could not be configured; it is closed
+/// already, and further pending connections may still be accepted.
+StatusOr<std::optional<UniqueFd>> TcpAccept(int listen_fd, bool nonblocking);
 
 /// Writes all of `data`, polling for writability up to `timeout` per
 /// syscall. MSG_NOSIGNAL is used throughout so a dead peer surfaces as

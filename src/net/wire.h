@@ -11,6 +11,7 @@
 #include "common/binio.h"
 #include "common/status.h"
 #include "common/time.h"
+#include "core/engine.h"
 #include "stream/tuple.h"
 
 namespace esp::net {
@@ -110,12 +111,10 @@ struct ClusterHelloMessage {
   uint64_t epoch = 0;
 };
 
-/// One proximity group's post-Merge partial relation inside a kTickResult.
-struct WirePartial {
-  std::string device_type;
-  std::string group_id;
-  stream::Relation relation;
-};
+/// One proximity group's post-Merge partial relation inside a kTickResult:
+/// the engine's own GroupPartial, so a worker ships the relations its tick
+/// returned without copying them.
+using WirePartial = core::GroupPartial;
 
 /// Worker -> coordinator: the partial aggregates of one tick, identified by
 /// the tick's timestamp (the cluster requires strictly increasing tick

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -310,6 +312,43 @@ TEST(ClusterTest, SigkilledWorkerFailsOverAndStaysBitwiseIdentical) {
   ASSERT_EQ(stats.recovery_ms.size(), 1u);
   EXPECT_GT(stats.recovery_ms[0], 0.0);
   EXPECT_EQ((*cluster)->worker_epoch(0), 2u);  // Fenced once.
+  EXPECT_TRUE((*cluster)->Stop().ok());
+}
+
+// --- The coordinator-worker round trip. ---
+
+// A worker answers a tick with a result and an ack. With Nagle's algorithm
+// on either end of the link, the second write waits for the first one's
+// ACK, which the coordinator delays (at least 40 ms on Linux): every tick
+// would cost a delayed ACK rather than its cleaning work.
+TEST(ClusterTest, MedianTickIsFarBelowADelayedAck) {
+  constexpr size_t kWarmupTicks = 20;
+  constexpr size_t kMeasuredTicks = 100;
+  const std::vector<Step> steps = Script(kWarmupTicks + kMeasuredTicks);
+
+  ForkWorkerSupervisor supervisor;
+  auto cluster = StartCluster(
+      TestClusterOptions(FreshDir("cluster_tick_latency")), &supervisor);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+
+  std::vector<double> tick_ms;
+  for (size_t t = 0; t < steps.size(); ++t) {
+    for (const Tuple& tuple : steps[t].pushes) {
+      ASSERT_TRUE((*cluster)->Push("rfid", tuple).ok());
+    }
+    const auto start = std::chrono::steady_clock::now();
+    auto result = (*cluster)->Tick(steps[t].tick);
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(result.ok()) << result.status();
+    if (t >= kWarmupTicks) tick_ms.push_back(took.count());
+  }
+  ASSERT_EQ(tick_ms.size(), kMeasuredTicks);
+  std::sort(tick_ms.begin(), tick_ms.end());
+  const double median = tick_ms[tick_ms.size() / 2];
+  EXPECT_LT(median, 20.0) << "median Tick() " << median << " ms, max "
+                          << tick_ms.back() << " ms";
+  EXPECT_EQ((*cluster)->stats().worker_deaths, 0);
   EXPECT_TRUE((*cluster)->Stop().ok());
 }
 

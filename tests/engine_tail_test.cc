@@ -189,6 +189,143 @@ TEST(EngineTailTest, UnionOrderMatchesTheMonolithInEveryEngine) {
   EXPECT_TRUE((*cluster)->Stop().ok());
 }
 
+// --- Group-partial export: an engine that stops after Merge ---------------
+
+/// Device types of the export deployment, in registration order.
+constexpr const char* kExportTypes[2] = {"rfid", "dock"};
+constexpr int kExportGroups = 3;
+
+std::string ExportReceptor(int type, int group) {
+  return std::string(kExportTypes[type]) + "_reader_" + std::to_string(group);
+}
+
+/// Two device types whose groups register interleaved, each with the
+/// paper's Smooth and Query 3 Arbitrate, plus TallyVirtualize: an exporting
+/// engine must run none of the tail.
+template <typename Engine>
+Status ConfigureTwoTypes(Engine& engine) {
+  for (int g = 0; g < kExportGroups; ++g) {
+    for (int type = 0; type < 2; ++type) {
+      ESP_RETURN_IF_ERROR(engine.AddProximityGroup(
+          {std::string(kExportTypes[type]) + "_pg" + std::to_string(g),
+           kExportTypes[type], SpatialGranule{"shelf_" + std::to_string(g)},
+           {ExportReceptor(type, g)}}));
+    }
+  }
+  for (int type = 0; type < 2; ++type) {
+    DeviceTypePipeline pipeline;
+    pipeline.device_type = kExportTypes[type];
+    pipeline.reading_schema = sim::RfidReadingSchema();
+    pipeline.receptor_id_column = "reader_id";
+    pipeline.smooth =
+        SmoothPresenceCount(TemporalGranule(Duration::Seconds(5)), "tag_id");
+    pipeline.arbitrate = ArbitrateMaxCount("tag_id", "reads");
+    ESP_RETURN_IF_ERROR(engine.AddPipeline(std::move(pipeline)));
+  }
+  engine.SetVirtualize(tail_fixture::TallyVirtualize(1000));
+  ESP_RETURN_IF_ERROR(engine.Start());
+  return engine.RegisterQuery("tenant", "count", tail_fixture::kFixtureQuery);
+}
+
+/// Pushes tick t's readings: each group reads its own tag, group t % 3
+/// also reads a neighbour's, at sub-tick offsets out of group order.
+template <typename Engine>
+void PushTwoTypes(Engine& engine, int t) {
+  for (int type = 0; type < 2; ++type) {
+    for (int g = 0; g < kExportGroups; ++g) {
+      const double at = t + 0.1 * (kExportGroups - g);
+      EXPECT_TRUE(engine
+                      .Push(kExportTypes[type],
+                            sim::ToTuple(sim::RfidReading{
+                                ExportReceptor(type, g),
+                                "tag_" + std::to_string(g),
+                                Timestamp::Seconds(at)}))
+                      .ok());
+      if (t % kExportGroups == g) {
+        EXPECT_TRUE(engine
+                        .Push(kExportTypes[type],
+                              sim::ToTuple(sim::RfidReading{
+                                  ExportReceptor(type, g),
+                                  "tag_" + std::to_string((g + 1) %
+                                                          kExportGroups),
+                                  Timestamp::Seconds(at + 0.05)}))
+                        .ok());
+      }
+    }
+  }
+}
+
+/// Canonical bytes of one group's partial: names, schema and tuples.
+std::string PartialBytes(const std::string& type, const std::string& group,
+                         const stream::Relation& relation) {
+  ByteWriter w;
+  w.WriteString(type);
+  w.WriteString(group);
+  stream::WriteSchema(w, *relation.schema());
+  w.WriteU32(static_cast<uint32_t>(relation.size()));
+  for (const Tuple& tuple : relation.tuples()) stream::WriteTuple(w, tuple);
+  return w.data();
+}
+
+std::vector<std::string> PartialBytes(const TickResult& result) {
+  std::vector<std::string> bytes;
+  for (const GroupPartial& partial : result.group_partials) {
+    bytes.push_back(
+        PartialBytes(partial.device_type, partial.group_id, partial.relation));
+  }
+  return bytes;
+}
+
+TEST(EngineTailTest, ExportingEnginesStopAfterMerge) {
+  constexpr int kTicks = 8;
+  // The reference: a monolith's post-Merge relations, in (type, group)
+  // registration order.
+  EspProcessor monolith;
+  ASSERT_TRUE(ConfigureTwoTypes(monolith).ok());
+  std::vector<std::vector<std::string>> golden;
+  for (int t = 0; t < kTicks; ++t) {
+    PushTwoTypes(monolith, t);
+    StatusOr<MergedGroups> groups = monolith.TickGroups(Timestamp::Seconds(t));
+    ASSERT_TRUE(groups.ok()) << groups.status();
+    ASSERT_EQ(groups->size(), 2u);
+    std::vector<std::string> tick;
+    for (int type = 0; type < 2; ++type) {
+      ASSERT_EQ((*groups)[type].size(), static_cast<size_t>(kExportGroups));
+      for (int g = 0; g < kExportGroups; ++g) {
+        tick.push_back(PartialBytes(
+            kExportTypes[type],
+            std::string(kExportTypes[type]) + "_pg" + std::to_string(g),
+            (*groups)[type][g]));
+      }
+    }
+    golden.push_back(std::move(tick));
+  }
+
+  const auto check = [&](StreamEngine& engine, const std::string& label,
+                         const std::function<void(int)>& push) {
+    engine.SetExportGroupPartials(true);
+    for (int t = 0; t < kTicks; ++t) {
+      push(t);
+      StatusOr<TickResult> result = engine.Tick(Timestamp::Seconds(t));
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status();
+      EXPECT_EQ(PartialBytes(*result), golden[t]) << label << " t=" << t;
+      EXPECT_TRUE(result->per_type.empty()) << label;
+      EXPECT_FALSE(result->virtualized.has_value()) << label;
+      EXPECT_TRUE(result->query_results.empty()) << label;
+    }
+  };
+
+  EspProcessor exporting;
+  ASSERT_TRUE(ConfigureTwoTypes(exporting).ok());
+  check(exporting, "monolith", [&](int t) { PushTwoTypes(exporting, t); });
+  for (size_t shards = 1; shards <= 2; ++shards) {
+    ShardedEspProcessor sharded({.num_shards = shards});
+    ASSERT_TRUE(ConfigureTwoTypes(sharded).ok());
+    check(sharded, std::to_string(shards) + " shards",
+          [&](int t) { PushTwoTypes(sharded, t); });
+  }
+}
+
 // --- Stage errors in the tail's stages ------------------------------------
 
 constexpr int kShelves = 4;
